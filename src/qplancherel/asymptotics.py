@@ -29,6 +29,7 @@ from qplancherel.observables import (
 )
 from qplancherel.partitions import (
     Partition,
+    cycle_type,
     falling_factorial,
     partitions_of,
     size,
@@ -220,21 +221,11 @@ def mobius_perm_brute(f: ClassFunction, n: int) -> QRat:
         raise ValueError("permutation enumeration capped at n = 7")
     total = ZERO
     for p in iter_permutations(range(n)):
-        seen = [False] * n
+        lengths = cycle_type(p)
         fsum = ZERO
-        cycles = 0
-        for i in range(n):
-            if seen[i]:
-                continue
-            cycles += 1
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = p[j]
-                length += 1
+        for length in lengths:
             fsum = fsum + f(length)
-        total = total + (fsum if cycles % 2 == 0 else -fsum)
+        total = total + (fsum if len(lengths) % 2 == 0 else -fsum)
     return total * Fraction(1, math.factorial(n))
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache
 
 from qplancherel.partitions import (
     Partition,
@@ -25,26 +24,14 @@ from qplancherel.partitions import (
     hooks,
     partitions_of,
     size,
+    small_shape_cache,
 )
 
-_MEMO_MAX_SIZE = 30  # above this, evaluation streams without caching
 
-
+@small_shape_cache
 def dim_of(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook formula)."""
-    if size(lam) <= _MEMO_MAX_SIZE:
-        return _dim_cached(lam)
-    return _dim_raw(lam)
-
-
-@cache
-def _dim_cached(lam: Partition) -> int:
-    return _dim_raw(lam)
-
-
-def _dim_raw(lam: Partition) -> int:
-    n = size(lam)
-    return math.factorial(n) // math.prod(hooks(lam))
+    return math.factorial(size(lam)) // math.prod(hooks(lam))
 
 
 def log_dim(lam: Partition) -> float:
@@ -67,18 +54,8 @@ def _strip_parts(mu: Partition) -> Partition:
     return tuple(sorted((p for p in mu if p >= 2), reverse=True))
 
 
+@small_shape_cache
 def _strip_sum(lam: Partition, parts: Partition) -> int:
-    if size(lam) <= _MEMO_MAX_SIZE:
-        return _strip_sum_cached(lam, parts)
-    return _strip_sum_raw(lam, parts)
-
-
-@cache
-def _strip_sum_cached(lam: Partition, parts: Partition) -> int:
-    return _strip_sum_raw(lam, parts)
-
-
-def _strip_sum_raw(lam: Partition, parts: Partition) -> int:
     if not parts:
         return dim_of(lam)
     k, rest = parts[0], parts[1:]
@@ -160,13 +137,6 @@ def sigma_eval(mu: Partition, lam: Partition) -> Fraction:
     if k > n:
         return Fraction(0)
     return falling_factorial(n, k) * char_normalized(lam, mu)
-
-
-def sigma_eval_float(mu: Partition, lam: Partition) -> float:
-    n, k = size(lam), size(mu)
-    if k > n:
-        return 0.0
-    return falling_factorial(n, k) * char_normalized_float(lam, mu)
 
 
 def character_table(n: int) -> dict[Partition, dict[Partition, int]]:

@@ -10,26 +10,9 @@ from __future__ import annotations
 from functools import cache
 from itertools import permutations as iter_permutations
 
-from qplancherel.partitions import Partition, partitions_of, size
+from qplancherel.partitions import Partition, cycle_type, partitions_of, size
 
 Perm = tuple[int, ...]
-
-
-def perm_cycle_type(p: Perm) -> Partition:
-    n = len(p)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
 
 
 def compose(p: Perm, q: Perm) -> Perm:
@@ -50,7 +33,7 @@ def perms_by_type(n: int) -> dict[Partition, tuple[Perm, ...]]:
         raise ValueError("full enumeration capped at n = 8")
     buckets: dict[Partition, list[Perm]] = {mu: [] for mu in partitions_of(n)}
     for p in iter_permutations(range(n)):
-        buckets[perm_cycle_type(p)].append(p)
+        buckets[cycle_type(p)].append(p)
     return {mu: tuple(ps) for mu, ps in buckets.items()}
 
 

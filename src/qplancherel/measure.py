@@ -7,19 +7,22 @@ n = 40 tables and n = 1000 samples stay cheap.
 
 Three samplers produce the same law: exact inverse-CDF over the full
 table (small n), RSK insertion of i.i.d. geometric letters, and the
-coherent one-box-at-a-time growth process.  The latter two are imported
-descriptions, so they are validated against the exact table by the
-chi-square gates in the Monte Carlo layer, and the growth process
-asserts its own transition-sum coherency at every step.
+coherent one-box-at-a-time growth process.  Each one draws a single
+chunk of shapes from that chunk's own generator stream;
+`montecarlo.sample_partitions` is the one driver that fans the chunks
+out and merges them.  RSK and growth draw at q < 1 only, and reach q > 1
+through the exact duality M_q(lambda) = M_{1/q}(lambda').  The latter
+two are imported descriptions, so they are validated against the exact
+table by the chi-square gates in the Monte Carlo layer, and the growth
+process asserts its own transition-sum coherency at every step.
+Numeric q is validated once, by `check_q`, where it enters.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterator
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from qplancherel.partitions import (
     n_stat,
     partitions_of,
     size,
+    small_shape_cache,
 )
 from qplancherel.ratfunc import (
     QPoly,
@@ -75,18 +79,15 @@ def measure_table(n: int) -> dict[Partition, QRat]:
     return {lam: measure_value(lam) for lam in partitions_of(n)}
 
 
-def measure_value_at(lam: Partition, q0: Fraction) -> Fraction:
-    if q0 <= 0:
-        raise ValueError(f"measure requires q > 0, got {q0}")
-    return measure_value(lam).eval_at(q0)
+def check_q(q0: float) -> None:
+    """Reject a q outside the numeric domain: finite, q > 0, q != 1."""
+    if not (math.isfinite(q0) and q0 > 0 and q0 != 1):
+        raise ValueError(f"q must be finite, positive and != 1, got q = {q0!r}")
 
 
 def measure_probabilities(n: int, q0: float) -> tuple[tuple[Partition, ...], np.ndarray]:
     """Float measure vector at numeric q, computed in log space."""
-    if q0 <= 0:
-        raise ValueError(f"measure requires q > 0, got {q0}")
-    if q0 == 1:
-        raise ValueError("q = 1 is excluded")
+    check_q(q0)
     parts = partitions_of(n)
     logq = math.log(q0)
     log1mq = math.log(abs(1.0 - q0))
@@ -156,17 +157,10 @@ def chunk_generator(seed: int, stream: int, chunk_index: int) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
-    full, rem = divmod(count, SAMPLE_CHUNK)
-    for j in range(full):
-        yield j, SAMPLE_CHUNK
-    if rem:
-        yield full, rem
-
-
 def sample_exact_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
+    """Inverse-CDF draws from the fully enumerated measure table."""
     if n > EXACT_SAMPLER_MAX_N:
         raise ValueError(f"n = {n} exceeds exact-sampler guard {EXACT_SAMPLER_MAX_N}")
     parts, probs = _exact_table_cached(n, q0)
@@ -181,14 +175,6 @@ def sample_exact_chunk(
 @cache
 def _exact_table_cached(n: int, q0: float):
     return measure_probabilities(n, q0)
-
-
-def sample_exact(n: int, q0: float, count: int, seed: int) -> list[Partition]:
-    """Inverse-CDF sampling from the fully enumerated measure table."""
-    out: list[Partition] = []
-    for j, m in _iter_chunks(count):
-        out.extend(sample_exact_chunk(n, q0, seed, j, m))
-    return out
 
 
 def _rsk_shape(letters: np.ndarray) -> Partition:
@@ -220,25 +206,13 @@ def _geometric_letters(rng: np.random.Generator, n: int, m: int, q0: float) -> n
 def sample_rsk_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
-    if q0 == 1:
-        raise ValueError("q = 1 is excluded")
-    dual = q0 > 1
-    q_eff = 1.0 / q0 if dual else q0
+    """Insertion shapes of n i.i.d. geometric letters."""
+    if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
+        dual = sample_rsk_chunk(n, 1 / q0, seed, chunk_index, m)
+        return [conjugate(lam) for lam in dual]
     rng = chunk_generator(seed, 0, chunk_index)
-    letters = _geometric_letters(rng, n, m, q_eff)
-    shapes = [_rsk_shape(letters[i]) for i in range(m)]
-    if dual:
-        shapes = [conjugate(lam) for lam in shapes]
-    return shapes
-
-
-def sample_rsk(n: int, q0: float, count: int, seed: int) -> list[Partition]:
-    """Insertion shape of n i.i.d. geometric letters; q > 1 runs the
-    1/q sampler and conjugates (exact duality of the measure)."""
-    out: list[Partition] = []
-    for j, m in _iter_chunks(count):
-        out.extend(sample_rsk_chunk(n, q0, seed, j, m))
-    return out
+    letters = _geometric_letters(rng, n, m, q0)
+    return [_rsk_shape(letters[i]) for i in range(m)]
 
 
 class GrowthCoherencyError(RuntimeError):
@@ -261,16 +235,10 @@ def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
     return out
 
 
+@small_shape_cache
 def _log_q_hook_sum(lam: Partition, q0: float) -> float:
     # sum of log |1 - q^h| over the hooks; the (1-q) normalizations
     # cancel in ratios up to one leftover factor per added box
-    if size(lam) <= 30:
-        return _log_q_hook_sum_cached(lam, q0)
-    return sum(math.log(abs(1.0 - q0**h)) for h in hooks(lam))
-
-
-@cache
-def _log_q_hook_sum_cached(lam: Partition, q0: float) -> float:
     return sum(math.log(abs(1.0 - q0**h)) for h in hooks(lam))
 
 
@@ -309,10 +277,10 @@ def _growth_cumulative(
 def sample_growth_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
-    if q0 <= 0:
-        raise ValueError(f"growth sampler requires q > 0, got {q0}")
-    if q0 == 1:
-        raise ValueError("q = 1 is excluded")
+    """n steps of the coherent growth process from the empty diagram."""
+    if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
+        dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
+        return [conjugate(lam) for lam in dual]
     rng = chunk_generator(seed, 0, chunk_index)
     us = rng.random((m, n))
     out = []
@@ -326,20 +294,6 @@ def sample_growth_chunk(
         out.append(lam)
     return out
 
-
-def sample_growth(n: int, q0: float, count: int, seed: int) -> list[Partition]:
-    """n steps of the coherent growth process from the empty diagram."""
-    out: list[Partition] = []
-    for j, m in _iter_chunks(count):
-        out.extend(sample_growth_chunk(n, q0, seed, j, m))
-    return out
-
-
-SAMPLERS = {
-    "exact": sample_exact,
-    "rsk": sample_rsk,
-    "growth": sample_growth,
-}
 
 SAMPLER_CHUNK_FNS = {
     "exact": sample_exact_chunk,

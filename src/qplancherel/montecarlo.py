@@ -30,15 +30,16 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.stats import chi2
 
 from qplancherel.asymptotics import cov_closed_form, w_shape_at
 from qplancherel.measure import (
+    SAMPLE_CHUNK,
     SAMPLER_CHUNK_FNS,
-    _iter_chunks,
+    check_q,
     chunk_generator,
     measure_probabilities,
     stat_w,
@@ -84,6 +85,7 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(self.ks))
+        check_q(self.q)
         if self.num_samples < 100:
             raise ValueError("at least 100 samples are required")
         if not self.ks:
@@ -105,6 +107,14 @@ class SamplerGateError(RuntimeError):
 # ---------------------------------------------------------------------------
 # sampling fan-out
 
+def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
+    full, rem = divmod(count, SAMPLE_CHUNK)
+    for j in range(full):
+        yield j, SAMPLE_CHUNK
+    if rem:
+        yield full, rem
+
+
 def _chunk_task(args):
     method, n, q0, seed, chunk_index, m = args
     return chunk_index, SAMPLER_CHUNK_FNS[method](n, q0, seed, chunk_index, m)
@@ -123,6 +133,7 @@ def sample_partitions(
     Chunks are indexed deterministically and merged in index order, so
     any worker assignment yields the same sequence.
     """
+    check_q(q0)
     tasks = [(method, n, q0, seed, j, m) for j, m in _iter_chunks(count)]
     if workers <= 1 or len(tasks) <= 1:
         done = [_chunk_task(t) for t in tasks]
@@ -401,9 +412,6 @@ def run_clt(config: RunConfig) -> CltReport:
     for means and covariances, the finite-n law for skewness and excess
     kurtosis."""
     from qplancherel import __version__
-
-    if config.q == 1:
-        raise ValueError("q = 1 is excluded")
 
     gate = None
     if not config.skip_gate:

@@ -15,9 +15,10 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, Mapping, Sequence
 
-from qplancherel.characters import sigma_eval, sigma_eval_float
+from qplancherel.characters import sigma_eval
 from qplancherel.partitions import (
     Partition,
+    cycle_type,
     multiplicities,
     partitions_of,
     set_partitions_of,
@@ -91,11 +92,6 @@ class ObservableExpansion:
                     acc[rho] = acc.get(rho, ZERO) + contrib
         return ObservableExpansion(acc)
 
-    def restrict_min_size(self, lo: int) -> "ObservableExpansion":
-        return ObservableExpansion(
-            {mu: c for mu, c in self.terms.items() if size(mu) >= lo}
-        )
-
     def __repr__(self) -> str:
         return f"ObservableExpansion({expansion_str(self)!r})"
 
@@ -114,22 +110,6 @@ def disjoint_product(
 
 # ---------------------------------------------------------------------------
 # ordinary product via partial matchings
-
-def _cycle_type(perm: dict[int, int]) -> Partition:
-    seen = set()
-    lengths = []
-    for start in perm:
-        if start in seen:
-            continue
-        length = 0
-        x = start
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    return tuple(sorted(lengths, reverse=True))
-
 
 @cache
 def product_sigma(mu: Partition, nu: Partition) -> ObservableExpansion:
@@ -176,7 +156,7 @@ def product_sigma(mu: Partition, nu: Partition) -> ObservableExpansion:
             for t in range(part):
                 tau_perm[syms[t]] = syms[(t + 1) % part]
         composed = {x: sigma_perm[tau_perm[x]] for x in support}
-        rho = _cycle_type(composed)
+        rho = cycle_type(composed)
         counts[rho] = counts.get(rho, 0) + 1
 
     n_nu = len(nu_pos)
@@ -203,22 +183,6 @@ def product_sigma(mu: Partition, nu: Partition) -> ObservableExpansion:
         if not (max(size(mu), size(nu)) <= size(rho) <= expected):
             raise AssertionError(f"impossible term size {rho} in {mu} x {nu}")
     return out
-
-
-def top_two_terms(mu: Partition, nu: Partition) -> ObservableExpansion:
-    """Leading and subleading layer of Sigma_mu Sigma_nu in closed form.
-
-    Sigma_(mu u nu) plus, for each part c of mu and d of nu, the term
-    c*d*Sigma over the index where c and d merge into a (c+d-1)-cycle.
-    """
-    acc: Expansion = {union(mu, nu): QRat(1)}
-    for i, c in enumerate(mu):
-        for j, d in enumerate(nu):
-            rest_mu = mu[:i] + mu[i + 1 :]
-            rest_nu = nu[:j] + nu[j + 1 :]
-            key = union(union(rest_mu, rest_nu), (c + d - 1,))
-            acc[key] = acc.get(key, ZERO) + QRat(c * d)
-    return ObservableExpansion(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +334,7 @@ def transitive_cumulant_oracle(ks: Sequence[int]) -> ObservableExpansion:
             for t in range(k):
                 perm_i[cyc[t]] = cyc[(t + 1) % k]
             perm_total = {x: perm_total[perm_i[x]] for x in range(nsym)}
-        rho = _cycle_type(perm_total)
+        rho = cycle_type(perm_total)
         counts[rho] = counts.get(rho, 0) + 1
     return ObservableExpansion({rho: QRat(c) for rho, c in counts.items()})
 
@@ -381,12 +345,6 @@ def transitive_cumulant_oracle(ks: Sequence[int]) -> ObservableExpansion:
 def eval_expansion(a: ObservableExpansion, lam: Partition) -> QRat:
     """Exact value of the observable at a partition (QRat in q)."""
     return qrat_sum(c * QRat(sigma_eval(mu, lam)) for mu, c in a.terms.items())
-
-
-def eval_expansion_float(a: ObservableExpansion, lam: Partition, q0: float) -> float:
-    return sum(
-        c.eval_at(q0) * sigma_eval_float(mu, lam) for mu, c in a.terms.items()
-    )
 
 
 def _term_order(mu: Partition):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, wraps
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
+
+MEMO_MAX_SIZE = 30  # shapes above this size are evaluated without caching
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -129,11 +131,43 @@ def union(mu: Partition, nu: Partition) -> Partition:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-def remove_part(lam: Partition, part: int) -> Partition:
-    """lam with one copy of the given part deleted."""
-    out = list(lam)
-    out.remove(part)
-    return tuple(out)
+def cycle_type(perm) -> Partition:
+    """Cycle lengths of a permutation, descending, fixed points included.
+
+    `perm` maps each element to its image: a dict, or a tuple that
+    permutes range(len(perm)).  Iterating either one visits every
+    element once.
+    """
+    seen = set()
+    lengths = []
+    for start in perm:
+        if start in seen:
+            continue
+        length = 0
+        x = start
+        while x not in seen:
+            seen.add(x)
+            x = perm[x]
+            length += 1
+        lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def small_shape_cache(fn):
+    """Memoize fn(lam, *args) for shapes of size <= MEMO_MAX_SIZE.
+
+    Larger shapes rarely repeat, so they are evaluated without caching,
+    which keeps the cache from growing with the sampled n.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def wrapper(lam: Partition, *args):
+        if size(lam) <= MEMO_MAX_SIZE:
+            return cached(lam, *args)
+        return fn(lam, *args)
+
+    return wrapper
 
 
 def hooks(lam: Partition) -> tuple[int, ...]:

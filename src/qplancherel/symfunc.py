@@ -8,29 +8,10 @@ pairings they encode.  All coefficients are exact Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from typing import Mapping
 
 from qplancherel.partitions import Partition, partitions_of, size, union, z_of
-
-
-@dataclass(frozen=True)
-class BasisExpansion:
-    """Homogeneous symmetric function written in one basis (p, m, or h)."""
-
-    basis: str
-    coeffs: Mapping[Partition, Fraction]
-
-    def __getitem__(self, index: Partition) -> Fraction:
-        return self.coeffs.get(tuple(index), Fraction(0))
-
-    def __iter__(self):
-        return iter(sorted(self.coeffs))
-
-    def items(self):
-        return self.coeffs.items()
 
 
 def _clean(coeffs: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
@@ -53,12 +34,12 @@ def _h_part_in_p(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple((mu, Fraction(1, z_of(mu))) for mu in partitions_of(k))
 
 
-def h_in_p(rho: Partition) -> BasisExpansion:
-    """Expansion of h_rho = prod_i h_{rho_i} in the power-sum basis."""
+def h_in_p(rho: Partition) -> dict[Partition, Fraction]:
+    """Nonzero power-sum coefficients of h_rho = prod_i h_{rho_i}."""
     acc: dict[Partition, Fraction] = {(): Fraction(1)}
     for part in rho:
         acc = _mul(acc, dict(_h_part_in_p(part)))
-    return BasisExpansion("p", acc)
+    return acc
 
 
 @cache
@@ -74,26 +55,26 @@ def _p_part_in_h(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple(sorted(_clean(acc).items()))
 
 
-def p_in_h(rho: Partition) -> BasisExpansion:
-    """Expansion of p_rho in the complete homogeneous basis."""
+def p_in_h(rho: Partition) -> dict[Partition, Fraction]:
+    """Nonzero complete-homogeneous coefficients of p_rho."""
     acc: dict[Partition, Fraction] = {(): Fraction(1)}
     for part in rho:
         acc = _mul(acc, dict(_p_part_in_h(part)))
-    return BasisExpansion("h", acc)
+    return acc
 
 
 def scalar_ph(nu: Partition, rho: Partition) -> Fraction:
     """Hall pairing <p_nu, h_rho> = z_nu * [p_nu] h_rho."""
     if size(nu) != size(rho):
         raise ValueError(f"degree mismatch: |{nu}| != |{rho}|")
-    return z_of(nu) * h_in_p(rho)[nu]
+    return z_of(nu) * h_in_p(rho).get(nu, Fraction(0))
 
 
 def scalar_mp(nu: Partition, rho: Partition) -> Fraction:
     """Hall pairing <m_nu, p_rho>, read off via <m_nu, h_kappa> = delta."""
     if size(nu) != size(rho):
         raise ValueError(f"degree mismatch: |{nu}| != |{rho}|")
-    return p_in_h(rho)[nu]
+    return p_in_h(rho).get(nu, Fraction(0))
 
 
 def transition_matrix(k: int, which: str) -> dict[Partition, dict[Partition, Fraction]]:
@@ -108,4 +89,4 @@ def transition_matrix(k: int, which: str) -> dict[Partition, dict[Partition, Fra
     except KeyError:
         raise ValueError(f"unknown transition {which!r}") from None
     cols = partitions_of(k)
-    return {nu: {rho: expand(rho)[nu] for rho in cols} for nu in cols}
+    return {nu: {rho: expand(rho).get(nu, Fraction(0)) for rho in cols} for nu in cols}

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,17 +18,17 @@ from qplancherel.measure import (
     measure_probabilities,
     measure_table,
     measure_value,
-    measure_value_at,
-    sample_exact,
-    sample_growth,
-    sample_rsk,
     stat_w,
 )
+from qplancherel.montecarlo import sample_partitions
 from qplancherel.observables import ObservableExpansion
 from qplancherel.partitions import conjugate, partitions_of, size
 from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, parse_qrat, qint
 
 sigma = ObservableExpansion.sigma
+sample_exact = partial(sample_partitions, method="exact")
+sample_rsk = partial(sample_partitions, method="rsk")
+sample_growth = partial(sample_partitions, method="growth")
 
 
 class TestMeasureValues:
@@ -65,18 +66,18 @@ class TestMeasureValues:
     def test_positivity_at_numeric_q(self):
         for q0 in (Fraction(1, 10), Fraction(1, 2), Fraction(2), Fraction(9, 10)):
             for lam in partitions_of(6):
-                assert measure_value_at(lam, q0) > 0
+                assert measure_value(lam).eval_at(q0) > 0
 
     def test_rejects_nonpositive_q(self):
-        with pytest.raises(ValueError):
-            measure_value_at((2, 1), Fraction(-1, 2))
+        with pytest.raises(ValueError, match="q"):
+            measure_probabilities(3, -0.5)
 
     @pytest.mark.parametrize("q0", [0.3, 0.5, 0.8, 2.0])
     def test_float_table_matches_exact(self, q0):
         parts, probs = measure_probabilities(6, q0)
         qr = Fraction(q0).limit_denominator(10**6)
         for lam, p in zip(parts, probs):
-            assert p == pytest.approx(float(measure_value_at(lam, qr)), rel=1e-9)
+            assert p == pytest.approx(float(measure_value(lam).eval_at(qr)), rel=1e-9)
 
 
 class TestExpectations:
@@ -264,6 +265,13 @@ class TestGrowthSampler:
     def test_sizes(self):
         for lam in sample_growth(7, 1.7, 50, seed=13):
             assert size(lam) == 7
+
+    def test_q_above_one_conjugates_the_dual_chain(self):
+        # past n of about 165 the chain run directly at q = 2 loses the
+        # 1e-12 coherency; the sampler draws at 1/q and conjugates instead
+        draws = sample_growth(200, 2.0, 4, seed=0)
+        dual = sample_growth(200, 0.5, 4, seed=0)
+        assert draws == [conjugate(lam) for lam in dual]
 
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import scipy.stats
 
 from qplancherel import montecarlo
 from qplancherel.asymptotics import cov_closed_form, w_shape_at
-from qplancherel.measure import SAMPLER_CHUNK_FNS, sample_exact_chunk
+from qplancherel.measure import SAMPLE_CHUNK, SAMPLER_CHUNK_FNS, sample_exact_chunk
 from qplancherel.montecarlo import (
     Check,
     CltReport,
@@ -52,6 +52,13 @@ def test_config_rejects_unknown_sampler_and_workers():
         RunConfig(n=10, q=0.5, num_samples=500, sampler="magic")
     with pytest.raises(ValueError):
         RunConfig(n=10, q=0.5, num_samples=500, workers=0)
+
+
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), 0.0, -0.5, 1.0])
+def test_config_rejects_bad_q(q):
+    # even with the gate waived, a q outside the domain fails at once
+    with pytest.raises(ValueError, match="q"):
+        RunConfig(n=10, q=q, num_samples=500, skip_gate=True)
 
 
 def test_config_normalizes_ks_to_tuple():
@@ -174,13 +181,23 @@ def test_bootstrap_zero_disables_intervals():
 # ---------------------------------------------------------------------------
 # sampling fan-out and gate
 
-def test_worker_count_invariance():
+@pytest.mark.parametrize("method, n", [("exact", 10), ("rsk", 20), ("growth", 8)])
+def test_worker_count_invariance(method, n):
+    # three full chunks and a remainder
+    count = 3 * SAMPLE_CHUNK + 100
     draws = [
-        sample_partitions(10, 0.5, 2500, 42, method="exact", workers=w)
+        sample_partitions(n, 0.5, count, 42, method=method, workers=w)
         for w in (1, 2, 3)
     ]
     assert draws[0] == draws[1] == draws[2]
-    assert len(draws[0]) == 2500
+    assert len(draws[0]) == count
+
+
+@pytest.mark.parametrize("method", ["exact", "rsk", "growth"])
+@pytest.mark.parametrize("q", [float("nan"), 0.0, -0.5, 1.0])
+def test_sampling_rejects_bad_q(method, q):
+    with pytest.raises(ValueError, match="q"):
+        sample_partitions(6, q, 10, 0, method=method)
 
 
 def test_gate_passes_for_faithful_samplers():

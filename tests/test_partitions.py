@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,7 @@ from qplancherel.partitions import (
     conjugacy_class_size,
     conjugate,
     covers_of,
+    cycle_type,
     falling_factorial,
     hooks,
     multiplicities,
@@ -18,7 +21,6 @@ from qplancherel.partitions import (
     parse_partition,
     partition_str,
     partitions_of,
-    remove_part,
     set_partitions_of,
     size,
     union,
@@ -123,11 +125,6 @@ class TestDiagramOps:
         assert union((3,), (2,)) == (3, 2)
         assert union((2, 1), (3, 1)) == (3, 2, 1, 1)
         assert union((), (2,)) == (2,)
-
-    def test_remove_part(self):
-        assert remove_part((3, 2, 2), 2) == (3, 2)
-        with pytest.raises(ValueError):
-            remove_part((3,), 2)
 
     @given(partitions())
     def test_conjugate_involution(self, lam):
@@ -269,3 +266,22 @@ class TestTextForms:
     @given(partitions())
     def test_round_trip(self, lam):
         assert parse_partition(partition_str(lam)) == lam
+
+
+class TestCycleType:
+    def test_hand_values(self):
+        assert cycle_type((0, 1, 2)) == (1, 1, 1)
+        assert cycle_type((1, 2, 0, 4, 3)) == (3, 2)
+        assert cycle_type({5: 9, 9: 5, 7: 7}) == (2, 1)
+        assert cycle_type(()) == ()
+
+    @pytest.mark.parametrize("as_dict", [False, True], ids=["tuple", "dict"])
+    def test_counts_are_class_sizes(self, as_dict):
+        for n in range(8):
+            counts = Counter(
+                cycle_type(dict(enumerate(p)) if as_dict else p)
+                for p in permutations(range(n))
+            )
+            assert counts == {
+                nu: conjugacy_class_size(nu) for nu in partitions_of(n)
+            }

@@ -191,4 +191,4 @@ class TestScalarProducts:
         # <p_nu, h_rho> = z_nu [p_nu] h_rho by definition of the pairing
         for nu in partitions_of(k):
             for rho in partitions_of(k):
-                assert scalar_ph(nu, rho) == z_of(nu) * h_in_p(rho)[nu]
+                assert scalar_ph(nu, rho) == z_of(nu) * h_in_p(rho).get(nu, 0)
