@@ -30,10 +30,9 @@ from qplancherel.observables import (
     product_sigma,
 )
 from qplancherel.partitions import parse_partition, partition_str, partitions_of
-from qplancherel.ratfunc import QPoly, QRat, Rat, one_minus_q_pow, qfactorial, qint
+from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qfactorial, qint
 
 __all__ = [
-    "Rat",
     "QPoly",
     "QRat",
     "qint",

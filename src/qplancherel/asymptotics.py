@@ -186,13 +186,8 @@ def f1_family(l: int) -> ClassFunction:
 
 
 def f2_family(l: int) -> ClassFunction:
-    """f2(m) = m (1-q^(m-1)) (1-q^(l-2)) / (1-q^(m+l-2))."""
-
-    def f(m: int) -> QRat:
-        num = QPoly.const(m) * one_minus_q_int(m - 1) * one_minus_q_int(l - 2)
-        return QRat(num, one_minus_q_int(m + l - 2))
-
-    return f
+    """f2(m) = m (1-q^(m-1)) (1-q^(l-2)) / (1-q^(m+l-2)), that is f1 at l - 1."""
+    return f1_family(l - 1)
 
 
 def mobius_brute(f: ClassFunction, n: int) -> QRat:

@@ -7,9 +7,13 @@ evaluation paths share that recursion:
 
 * exact: arbitrary-precision integers / Fractions, memoized for small
   shapes;
-* float: dimension ratios accumulated in log space via the
-  first-column-hook (beta number) form of the hook length formula, for
-  shapes far too large for the exact path to be cheap.
+* float: dimension ratios accumulated in log space via the beta-number
+  form of the hook length formula (`partitions.beta_numbers`, where the
+  border strips are found too), for shapes far too large for the exact
+  path to be cheap.
+
+The q-character evaluator in `hecke` picks between the two by the type
+of its q.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from fractions import Fraction
 
 from qplancherel.partitions import (
     Partition,
+    beta_numbers,
     border_strips_of,
     falling_factorial,
     hooks,
@@ -36,12 +41,11 @@ def dim_of(lam: Partition) -> int:
 
 def log_dim(lam: Partition) -> float:
     """log dim lam via the beta-number form of the hook formula."""
-    n = size(lam)
-    L = len(lam)
+    beta = beta_numbers(lam)
+    L = len(beta)
     if L == 0:
         return 0.0
-    beta = [lam[i] + (L - 1 - i) for i in range(L)]
-    s = math.lgamma(n + 1)
+    s = math.lgamma(size(lam) + 1)
     for i in range(L):
         s -= math.lgamma(beta[i] + 1)
         for j in range(i + 1, L):
@@ -90,9 +94,6 @@ def char_normalized_float(lam: Partition, mu: Partition) -> float:
     parts = _strip_parts(mu)
     if not parts:
         return 1.0
-    L = len(lam)
-    beta0 = [lam[i] + (L - 1 - i) for i in range(L)]
-    n = size(lam)
     total = 0.0
 
     def descend(beta: list[int], m: int, idx: int, logacc: float, sign: int):
@@ -124,7 +125,7 @@ def char_normalized_float(lam: Partition, mu: Partition) -> float:
                 -sign if height % 2 else sign,
             )
 
-    descend(beta0, n, 0, 0.0, 1)
+    descend(beta_numbers(lam), size(lam), 0, 0.0, 1)
     return total
 
 

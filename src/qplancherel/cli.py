@@ -34,7 +34,6 @@ from qplancherel.asymptotics import (
 from qplancherel.characters import character_table
 from qplancherel.hecke import (
     q_char_normalized,
-    q_char_normalized_exact_at,
     sigma_in_sigma_q,
     sigma_q_in_sigma,
 )
@@ -232,10 +231,7 @@ def cmd_ram(o) -> tuple[str, int]:
 
 def cmd_qchar(o) -> tuple[str, int]:
     lam, mu = o["lambda"], o["mu"]
-    if o["q"] is None:
-        value = str(q_char_normalized(lam, mu))
-    else:
-        value = str(q_char_normalized_exact_at(lam, mu, o["q"]))
+    value = str(q_char_normalized(lam, mu, o["q"]))
     fmt = _fmt(o, "text", "json", default="text")
     if fmt == "json":
         payload = {

@@ -27,7 +27,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from qplancherel.characters import dim_of, log_dim
-from qplancherel.hecke import q_char_normalized_float
+from qplancherel.hecke import q_char_normalized
 from qplancherel.observables import ObservableExpansion, eval_expansion
 from qplancherel.partitions import (
     Partition,
@@ -59,12 +59,18 @@ SAMPLE_CHUNK = 1024  # worker-count invariance: streams are chunk-indexed
 # exact measure values and expectations
 
 @cache
+def _q_hook_product(lam: Partition) -> QPoly:
+    """prod over the boxes of lam of the q-integer {h(x)}_q."""
+    out = QPoly.const(1)
+    for h in hooks(lam):
+        out = out * qint(h)
+    return out
+
+
+@cache
 def _degree_quotient(lam: Partition) -> QPoly:
     # {n!}_q / prod {h(x)}_q, a polynomial by the q-hook formula
-    prod_hooks = QPoly.const(1)
-    for h in hooks(lam):
-        prod_hooks = prod_hooks * qint(h)
-    return qfactorial(size(lam)).exact_div(prod_hooks)
+    return qfactorial(size(lam)).exact_div(_q_hook_product(lam))
 
 
 def measure_value(lam: Partition) -> QRat:
@@ -125,14 +131,7 @@ def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
     """Oracle: full enumeration sum_lam M(lam) a(lam), exact."""
     if n > BRUTE_EXPECTATION_MAX_N:
         raise ValueError(f"n = {n} exceeds enumeration guard {BRUTE_EXPECTATION_MAX_N}")
-    terms = []
-    for lam in partitions_of(n):
-        value = eval_expansion(a, lam)
-        if value.is_zero():
-            continue
-        num = QPoly.monomial(n_stat(lam), dim_of(lam)) * _degree_quotient(lam)
-        terms.append(QRat(num, qfactorial(n)) * value)
-    return qrat_sum(terms)
+    return qrat_sum(m * eval_expansion(a, lam) for lam, m in measure_table(n).items())
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def stat_w(lam: Partition, k: int, q0: float) -> float:
     n = size(lam)
     if k > n:
         raise ValueError(f"k = {k} exceeds |lam| = {n}")
-    return math.sqrt(n) * q_char_normalized_float(lam, (k,), q0)
+    return math.sqrt(n) * q_char_normalized(lam, (k,), float(q0))
 
 
 # ---------------------------------------------------------------------------
@@ -222,17 +221,13 @@ class GrowthCoherencyError(RuntimeError):
 
 def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
     """Exact transition law out of lam: q^(i-1) ratio of q-hook products."""
-    num_lam = QPoly.const(1)
-    for h in hooks(lam):
-        num_lam = num_lam * qint(h)
-    out: dict[Partition, QRat] = {}
-    for big in covers_of(lam):
-        den_big = QPoly.const(1)
-        for h in hooks(big):
-            den_big = den_big * qint(h)
-        i = added_row(lam, big)
-        out[big] = QRat(QPoly.monomial(i - 1) * num_lam, den_big)
-    return out
+    num_lam = _q_hook_product(lam)
+    return {
+        big: QRat(
+            QPoly.monomial(added_row(lam, big) - 1) * num_lam, _q_hook_product(big)
+        )
+        for big in covers_of(lam)
+    }
 
 
 @small_shape_cache

@@ -98,6 +98,10 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.bootstrap < 0:
             raise ValueError("bootstrap resample count must be >= 0")
+        if self.gate_n < 2:
+            raise ValueError(f"gate_n must be >= 2, got {self.gate_n}")
+        if self.gate_draws < 1:
+            raise ValueError(f"gate_draws must be >= 1, got {self.gate_draws}")
 
 
 class SamplerGateError(RuntimeError):
@@ -164,11 +168,10 @@ def chi_square_gof(
     categories: Sequence[Partition],
     probs: Sequence[float],
     draws: int,
-    min_expected: float = MIN_EXPECTED_PER_BIN,
 ) -> GofResult:
     """Pearson chi-square against given category probabilities.
 
-    Categories whose expected count falls below `min_expected` are pooled
+    Categories whose expected count falls below MIN_EXPECTED_PER_BIN are pooled
     (smallest first) until every bin clears the threshold; with fewer
     than two bins left the test is vacuous and p = 1.
     """
@@ -176,7 +179,7 @@ def chi_square_gof(
         ((p * draws, observed.get(cat, 0)) for cat, p in zip(categories, probs)),
         reverse=True,
     )
-    while len(pairs) > 1 and pairs[-1][0] < min_expected:
+    while len(pairs) > 1 and pairs[-1][0] < MIN_EXPECTED_PER_BIN:
         e, o = pairs.pop()
         e2, o2 = pairs.pop()
         pairs.append((e + e2, o + o2))
@@ -208,17 +211,17 @@ def validate_sampler(
     q0: float,
     draws: int,
     seed: int,
-    p_min: float = GATE_P_MIN,
 ) -> GateResult:
     """Chi-square gate of a sampler against the exact measure table.
 
     Draws come from a sub-seed on the gate stream so they never overlap
-    the samples of the main run.
+    the samples of the main run.  A gate whose bins pool down to one
+    tests nothing (dof = 0), so it fails rather than pass vacuously.
     """
     parts, probs = measure_probabilities(n, q0)
     shapes = sample_partitions(n, q0, draws, _gate_seed(seed), method=method)
     gof = chi_square_gof(Counter(shapes), parts, probs, draws)
-    return GateResult(method, n, q0, gof, gof.p_value > p_min)
+    return GateResult(method, n, q0, gof, gof.dof >= 1 and gof.p_value > GATE_P_MIN)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +428,7 @@ def run_clt(config: RunConfig) -> CltReport:
         if not gate.passed:
             raise SamplerGateError(
                 f"sampler {config.sampler!r} failed the goodness-of-fit gate "
-                f"(p = {gate.gof.p_value:.2e} at n = {gate.n}); "
+                f"(p = {gate.gof.p_value:.2e}, dof = {gate.gof.dof} at n = {gate.n}); "
                 "rerun with another sampler (exact enumeration always "
                 "available for small n) or waive with skip_gate"
             )

@@ -8,6 +8,7 @@ call patterns warrant it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cache, wraps
 from typing import Iterable, Iterator
@@ -86,20 +87,8 @@ def z_of(nu: Partition) -> int:
     """z_nu = prod_i i^{m_i} m_i!; the centralizer order of cycle type nu."""
     z = 1
     for part, m in multiplicities(nu).items():
-        z *= part**m * factorial(m)
+        z *= part**m * math.factorial(m)
     return z
-
-
-def conjugacy_class_size(nu: Partition) -> int:
-    """|C_nu| = |nu|! / z_nu, permutations of cycle type nu."""
-    return factorial(size(nu)) // z_of(nu)
-
-
-@cache
-def factorial(n: int) -> int:
-    import math
-
-    return math.factorial(n)
 
 
 def size(lam: Partition) -> int:
@@ -243,7 +232,9 @@ class BorderStrip:
         return len(self.cells)
 
 
-def _beta(lam: Partition) -> list[int]:
+def beta_numbers(lam: Partition) -> list[int]:
+    """Beta numbers lam_i + len(lam) - 1 - i (0-based i): the hook
+    lengths of the first column, strictly decreasing."""
     L = len(lam)
     return [lam[i] + (L - 1 - i) for i in range(L)]
 
@@ -264,7 +255,7 @@ def border_strips_of(lam: Partition, k: int) -> tuple[BorderStrip, ...]:
     """
     if k < 1:
         raise ValueError("strip size must be >= 1")
-    beta = _beta(lam)
+    beta = beta_numbers(lam)
     occupied = set(beta)
     out = []
     for i, b in enumerate(beta):

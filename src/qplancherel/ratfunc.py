@@ -10,11 +10,8 @@ directly.  Plain rational constants are ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Union
-
-Rat = Fraction
 
 Scalar = Union[int, Fraction]
 
@@ -170,7 +167,6 @@ class QPoly:
 
 ZERO_POLY = QPoly()
 ONE_POLY = QPoly.const(1)
-Q = QPoly.monomial(1)
 
 
 def qint(n: int) -> QPoly:
@@ -455,7 +451,6 @@ def _coerce(x):
 
 ZERO = QRat._raw(ZERO_POLY, ONE_POLY)
 ONE = QRat._raw(ONE_POLY, ONE_POLY)
-QVAR = QRat._raw(Q, ONE_POLY)
 
 
 def qrat_sum(terms: Iterable[QRat]) -> QRat:
@@ -493,50 +488,3 @@ def poly_str(p: QPoly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-_TERM_RE = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?(?:\*)?(?P<q>q(?:\^(?P<exp>\d+))?)?$"
-)
-
-
-def parse_poly(text: str) -> QPoly:
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial")
-    s = s.replace(" ", "")
-    tokens = re.findall(r"[+-]?[^+-]+", s)
-    if "".join(tokens) != s:
-        raise ValueError(f"cannot parse polynomial: {text!r}")
-    coeffs: dict[int, Fraction] = {}
-    for tok in tokens:
-        sign = 1
-        if tok[0] in "+-":
-            sign = -1 if tok[0] == "-" else 1
-            tok = tok[1:]
-        m = _TERM_RE.match(tok)
-        if not m or (m.group("coeff") is None and m.group("q") is None):
-            raise ValueError(f"cannot parse term {tok!r} in {text!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-        if m.group("q"):
-            exp = int(m.group("exp")) if m.group("exp") else 1
-        else:
-            exp = 0
-        coeffs[exp] = coeffs.get(exp, Fraction(0)) + sign * coeff
-    size = max(coeffs) + 1
-    out = [Fraction(0)] * size
-    for e, c in coeffs.items():
-        out[e] = c
-    return QPoly(out)
-
-
-_QRAT_RE = re.compile(r"^\((?P<num>[^()]*)\)\s*/\s*\((?P<den>[^()]*)\)$")
-
-
-def parse_qrat(text: str) -> QRat:
-    """Parse the textual form produced by str(QRat)."""
-    s = text.strip()
-    m = _QRAT_RE.match(s)
-    if m:
-        return QRat(parse_poly(m.group("num")), parse_poly(m.group("den")))
-    return QRat(parse_poly(s))

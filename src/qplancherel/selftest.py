@@ -21,7 +21,7 @@ import qplancherel.asymptotics as asymptotics
 from qplancherel.characters import char_normalized, sigma_eval
 from qplancherel.groupcenter import class_product
 from qplancherel.hecke import (
-    q_char_normalized_exact_at,
+    q_char_normalized,
     ram_round_trip,
     sigma_q_in_sigma,
 )
@@ -42,7 +42,7 @@ from qplancherel.observables import (
     project_to_class_sums,
     transitive_cumulant_oracle,
 )
-from qplancherel.partitions import conjugate, partitions_of, size
+from qplancherel.partitions import conjugate, partitions_of
 from qplancherel.ratfunc import QRat, ZERO, qrat_sum
 
 HALF = Fraction(1, 2)
@@ -75,28 +75,25 @@ def check_measure_normalization() -> CheckResult:
     return _ok(name, "n <= 10")
 
 
-def check_expectation_formula() -> CheckResult:
-    name = "expectation_formula"
+def _check_expectations(name: str, symbol, closed_form) -> CheckResult:
+    # enumeration over the measure table against the closed form
     for k in range(1, 6):
         for mu in partitions_of(k):
             for n in range(1, 11):
-                if expectation_brute(
-                    ObservableExpansion.sigma(mu), n
-                ) != expectation_sigma(mu, n):
+                if expectation_brute(symbol(mu), n) != closed_form(mu, n):
                     return _fail(name, f"mu={mu} n={n}")
     return _ok(name, "|mu| <= 5, n <= 10")
+
+
+def check_expectation_formula() -> CheckResult:
+    sigma = ObservableExpansion.sigma
+    return _check_expectations("expectation_formula", sigma, expectation_sigma)
 
 
 def check_expectation_q_formula() -> CheckResult:
-    name = "expectation_q_formula"
-    for k in range(1, 6):
-        for mu in partitions_of(k):
-            for n in range(1, 11):
-                if expectation_brute(sigma_q_in_sigma(mu), n) != expectation_sigma_q(
-                    mu, n
-                ):
-                    return _fail(name, f"mu={mu} n={n}")
-    return _ok(name, "|mu| <= 5, n <= 10")
+    return _check_expectations(
+        "expectation_q_formula", sigma_q_in_sigma, expectation_sigma_q
+    )
 
 
 def check_ram_round_trip() -> CheckResult:
@@ -115,9 +112,7 @@ def check_q_one_specialization() -> CheckResult:
         for lam in partitions_of(n):
             for k in range(1, n + 1):
                 for mu in partitions_of(k):
-                    if q_char_normalized_exact_at(lam, mu, one) != char_normalized(
-                        lam, mu
-                    ):
+                    if q_char_normalized(lam, mu, one) != char_normalized(lam, mu):
                         return _fail(name, f"lam={lam} mu={mu}")
     return _ok(name, "n <= 8")
 

@@ -15,12 +15,9 @@ from qplancherel.characters import (
     log_dim,
     sigma_eval,
 )
-from qplancherel.partitions import (
-    conjugacy_class_size,
-    partitions_of,
-    size,
-    z_of,
-)
+from qplancherel.partitions import partitions_of, size, z_of
+
+from oracles import conjugacy_class_size
 
 # ---------------------------------------------------------------------------
 # oracle: Frobenius character formula.  chi^lam(mu) is the coefficient of

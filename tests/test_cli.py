@@ -162,6 +162,17 @@ def test_clt_csv_format(capsys):
     assert {"coordinate", "cov", "check"} <= kinds
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [("--gate-n", "1", "gate_n"), ("--gate-n", "0", "gate_n"), ("--gate-n", "-3", "gate_n"),
+     ("--gate-draws", "0", "gate_draws"), ("--gate-draws", "-5", "gate_draws")],
+)
+def test_clt_rejects_a_gate_that_cannot_test(flag, value, field, capsys):
+    code, out, err = run_cli(CLT_ARGS + [flag, value], capsys)
+    assert code == 2 and out == ""
+    assert field in err
+
+
 def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

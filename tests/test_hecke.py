@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 from qplancherel.characters import char_normalized
 from qplancherel.hecke import (
     q_char_normalized,
-    q_char_normalized_exact_at,
-    q_char_normalized_float,
     ram_round_trip,
     sigma_in_sigma_q,
     sigma_q_in_sigma,
 )
+from qplancherel.montecarlo import sample_partitions
 from qplancherel.observables import ObservableExpansion, eval_expansion
 from qplancherel.partitions import partitions_of, size
-from qplancherel.ratfunc import QPoly, QRat, parse_qrat
+from qplancherel.ratfunc import QPoly, QRat
+
+from oracles import parse_qrat
 
 sigma = ObservableExpansion.sigma
 
@@ -100,22 +101,54 @@ class TestQCharNormalized:
     def test_float_matches_exact(self):
         for lam in partitions_of(6):
             for mu in [(2,), (3,), (2, 2)]:
-                exact = q_char_normalized_exact_at(lam, mu, Fraction(3, 10))
-                approx = q_char_normalized_float(lam, mu, 0.3)
+                exact = q_char_normalized(lam, mu, Fraction(3, 10))
+                approx = q_char_normalized(lam, mu, 0.3)
                 assert approx == pytest.approx(float(exact), rel=1e-9)
 
     def test_large_lambda_float_path(self):
         # single row: trivial module, q-character of a k-cycle is q^{k-1}
         lam = (500,)
-        assert q_char_normalized_float(lam, (3,), 0.5) == pytest.approx(
-            0.25, rel=1e-9
-        )
+        assert q_char_normalized(lam, (3,), 0.5) == pytest.approx(0.25, rel=1e-9)
 
     def test_single_column_value(self):
         # sign module: T_sigma acts by (-1)^{length}, so a k-cycle word
         # of minimal length k-1 gives (-1)^{k-1}
         lam = (1,) * 30
-        assert q_char_normalized_float(lam, (4,), 0.7) == pytest.approx(
-            -1.0, rel=1e-9
-        )
-        assert q_char_normalized_exact_at((1, 1, 1, 1), (4,), Fraction(1, 3)) == -1
+        assert q_char_normalized(lam, (4,), 0.7) == pytest.approx(-1.0, rel=1e-9)
+        assert q_char_normalized((1, 1, 1, 1), (4,), Fraction(1, 3)) == -1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_scalar_domain_follows_q(self, n):
+        # None: QRat in q; int or Fraction: the exact value there; float:
+        # a float close to it
+        for lam in partitions_of(n):
+            for k in range(n + 1):
+                for mu in partitions_of(k):
+                    symbolic = q_char_normalized(lam, mu)
+                    assert isinstance(symbolic, QRat)
+                    for q0 in (3, Fraction(1, 2), Fraction(2)):
+                        exact = q_char_normalized(lam, mu, q0)
+                        assert type(exact) is Fraction
+                        assert exact == symbolic.eval_at(Fraction(q0))
+                    approx = q_char_normalized(lam, mu, 0.5)
+                    assert type(approx) is float
+                    assert approx == pytest.approx(
+                        float(symbolic.eval_at(Fraction(1, 2))), abs=1e-12
+                    )
+
+
+# the float domain against the exact one on sampled shapes; the bound is
+# absolute because values near 0 carry relative errors up to ~1e-8
+FLOAT_EXACT_ABS_TOL = 1e-11
+DIFFERENTIAL_MUS = [(2,), (3,), (4,), (5,), (2, 2), (3, 2), (2, 2, 1), (4, 1), (3, 3)]
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 2.0])
+def test_float_domain_matches_exact_on_sampled_shapes(n, q):
+    shapes = sample_partitions(n, q, 12, seed=n, method="rsk")
+    for lam in shapes:
+        for mu in DIFFERENTIAL_MUS:
+            exact = q_char_normalized(lam, mu, Fraction(q))
+            approx = q_char_normalized(lam, mu, q)
+            assert abs(approx - exact) <= FLOAT_EXACT_ABS_TOL, (lam, mu, approx, exact)

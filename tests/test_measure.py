@@ -23,7 +23,9 @@ from qplancherel.measure import (
 from qplancherel.montecarlo import sample_partitions
 from qplancherel.observables import ObservableExpansion
 from qplancherel.partitions import conjugate, partitions_of, size
-from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, parse_qrat, qint
+from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
+
+from oracles import parse_qrat
 
 sigma = ObservableExpansion.sigma
 sample_exact = partial(sample_partitions, method="exact")

@@ -61,6 +61,14 @@ def test_config_rejects_bad_q(q):
         RunConfig(n=10, q=q, num_samples=500, skip_gate=True)
 
 
+@pytest.mark.parametrize("field, value", [("gate_n", 1), ("gate_n", 0), ("gate_n", -3),
+                                          ("gate_draws", 0), ("gate_draws", -5)])
+def test_config_rejects_a_gate_that_cannot_test(field, value):
+    # one partition of 1, none of 0, and no draws: nothing to fit
+    with pytest.raises(ValueError, match=field):
+        RunConfig(n=10, q=0.5, num_samples=500, **{field: value})
+
+
 def test_config_normalizes_ks_to_tuple():
     cfg = RunConfig(n=10, q=0.5, num_samples=500, ks=[2, 3])
     assert cfg.ks == (2, 3)
@@ -204,6 +212,26 @@ def test_gate_passes_for_faithful_samplers():
     for method in ("rsk", "growth", "exact"):
         gate = validate_sampler(method, 6, 0.5, 10_000, seed=1)
         assert gate.passed, (method, gate.gof.p_value)
+
+
+@pytest.mark.parametrize("n, draws", [(1, 2000), (6, 1)])
+def test_gate_without_degrees_of_freedom_fails(n, draws):
+    # a single partition, or bins pooled down to one, leave dof = 0: the
+    # chi-square p is 1 but the gate has tested nothing
+    gate = validate_sampler("exact", n, 0.5, draws, seed=1)
+    assert gate.gof.dof == 0 and gate.gof.p_value == 1.0
+    assert not gate.passed
+
+
+@pytest.mark.parametrize("method", ["rsk", "growth", "exact"])
+@pytest.mark.parametrize("n", [12, 20])
+@pytest.mark.parametrize("q", [0.05, 0.95, 0.99, 1.01, 1.05, 20.0])
+def test_gate_passes_in_edge_regimes(method, n, q):
+    # q near 0, near 1 from both sides, and far above 1, at n past the
+    # default gate size
+    gate = validate_sampler(method, n, q, 20_000, seed=1)
+    assert gate.gof.dof >= 1
+    assert gate.passed, gate.gof
 
 
 def test_gate_rejects_wrong_law(monkeypatch):

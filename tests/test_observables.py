@@ -163,7 +163,7 @@ class TestProjection:
         # must reproduce sigma_eval; a class sum of type rho contributes
         # |C_rho| * char_normalized
         from qplancherel.characters import char_normalized
-        from qplancherel.partitions import conjugacy_class_size
+        from oracles import conjugacy_class_size
 
         projected = project_to_class_sums(sigma(mu), n)
         for lam in partitions_of(n):

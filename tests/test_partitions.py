@@ -10,7 +10,6 @@ from qplancherel.partitions import (
     added_row,
     border_strips_of,
     check_partition,
-    conjugacy_class_size,
     conjugate,
     covers_of,
     cycle_type,
@@ -26,6 +25,8 @@ from qplancherel.partitions import (
     union,
     z_of,
 )
+
+from oracles import conjugacy_class_size
 
 
 @st.composite

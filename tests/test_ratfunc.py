@@ -11,13 +11,13 @@ from qplancherel.ratfunc import (
     ZERO,
     one_minus_q_int,
     one_minus_q_pow,
-    parse_poly,
-    parse_qrat,
     poly_gcd,
     qfactorial,
     qint,
     qrat_sum,
 )
+
+from oracles import parse_poly, parse_qrat
 
 halves = st.fractions(max_denominator=8)
 small_polys = st.lists(
