@@ -2,8 +2,8 @@
 
 M_{n,q}(lambda) = dim(lambda) q^{n(lambda)} / prod_{x} {h(x)}_q.  The
 symbolic path keeps everything as reduced rational functions over the
-common denominator {n!}_q; the numeric path works in log space so that
-n = 40 tables and n = 1000 samples stay cheap.
+common denominator {n!}_q.  The numeric table works in log space; a
+growth step multiplies only the q-integer ratios of the hooks it lengthens.
 
 Three samplers produce the same law: exact inverse-CDF over the full
 table (small n), RSK insertion of i.i.d. geometric letters, and the
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from functools import cache, lru_cache
+from functools import cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -230,43 +231,43 @@ def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
     }
 
 
+def _transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
+    """q^i prod {h}_q / {h+1}_q per cover, lam + a box in row i (from 0).
+
+    The product runs over the hooks h of lam that the box lengthens: those
+    in row i left of it and in its column above it.  Across a block of
+    equal rows or equal columns they are consecutive, so each block
+    telescopes to one factor (1 - q^h_min) / (1 - q^(h_max + 1)).
+    """
+    # first row of each block of equal parts, then the empty row; covers_of order
+    tops = [r for r in range(len(lam)) if r == 0 or lam[r - 1] > lam[r]] + [len(lam)]
+    parts = [lam[r] for r in tops[:-1]] + [0]
+    out = []
+    for t, (i, a) in enumerate(zip(tops, parts)):
+        w = q0**i
+        for u in range(t):  # column a, rows tops[u] .. tops[u + 1] - 1
+            d = parts[u] - a + i
+            w *= (1.0 - q0 ** (d - tops[u + 1])) / (1.0 - q0 ** (d - tops[u]))
+        for u in range(t, len(parts) - 1):  # row i, columns parts[u + 1] .. parts[u] - 1
+            e = tops[u + 1] - i + a
+            w *= (1.0 - q0 ** (e - parts[u])) / (1.0 - q0 ** (e - parts[u + 1]))
+        out.append(w)
+    return tuple(out)
+
+
 @small_shape_cache
-def _log_q_hook_sum(lam: Partition, q0: float) -> float:
-    # sum of log |1 - q^h| over the hooks; the (1-q) normalizations
-    # cancel in ratios up to one leftover factor per added box
-    return sum(math.log(abs(1.0 - q0**h)) for h in hooks(lam))
-
-
-def growth_transitions(lam: Partition, q0: float) -> tuple[list[Partition], np.ndarray]:
-    bigs = list(covers_of(lam))
-    logq = math.log(q0)
-    log1mq = math.log(abs(1.0 - q0))
-    base = _log_q_hook_sum(lam, q0)
-    logs = np.array(
-        [
-            (added_row(lam, big) - 1) * logq
-            + base
-            - _log_q_hook_sum(big, q0)
-            + log1mq
-            for big in bigs
-        ]
-    )
-    probs = np.exp(logs)
-    total = probs.sum()
+def growth_transitions(
+    lam: Partition, q0: float
+) -> tuple[tuple[Partition, ...], tuple[float, ...]]:
+    """The covers of lam and their numeric transition probabilities."""
+    probs = _transition_weights(lam, q0)
+    total = math.fsum(probs)
     if abs(total - 1.0) > 1e-12:
         raise GrowthCoherencyError(
             f"transition probabilities out of {lam} at q = {q0} "
             f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
         )
-    return bigs, probs
-
-
-@lru_cache(maxsize=100_000)
-def _growth_cumulative(
-    lam: Partition, q0: float
-) -> tuple[tuple[Partition, ...], tuple[float, ...]]:
-    bigs, probs = growth_transitions(lam, q0)
-    return tuple(bigs), tuple(np.cumsum(probs).tolist())
+    return covers_of(lam), probs
 
 
 def sample_growth_chunk(
@@ -281,10 +282,9 @@ def sample_growth_chunk(
     out = []
     for s in range(m):
         lam: Partition = ()
-        row = us[s]
-        for step in range(n):
-            bigs, cum = _growth_cumulative(lam, q0)
-            idx = bisect_right(cum, row[step])
+        for u in us[s].tolist():
+            bigs, probs = growth_transitions(lam, q0)
+            idx = bisect_right(list(accumulate(probs)), u)
             lam = bigs[min(idx, len(bigs) - 1)]
         out.append(lam)
     return out

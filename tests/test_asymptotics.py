@@ -29,8 +29,7 @@ from qplancherel.measure import expectation_sigma, measure_table
 from qplancherel.characters import sigma_eval
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.observables import ObservableExpansion
-from qplancherel.partitions import partitions_of
-from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qint, qrat_sum
+from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qrat_sum
 
 HALF = Fraction(1, 2)
 Q = QPoly.monomial(1)

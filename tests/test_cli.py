@@ -8,9 +8,11 @@ covers the module entry point itself.
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -235,10 +237,14 @@ def test_chartable_trivial_row(capsys):
 
 
 def test_module_entry_point():
+    # the subprocess finds the package of this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qplancherel", "cov", "--k", "2", "--l", "3", "--q", "1/2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1/70"

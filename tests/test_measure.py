@@ -5,7 +5,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import (
@@ -22,7 +22,13 @@ from qplancherel.measure import (
 )
 from qplancherel.montecarlo import sample_partitions
 from qplancherel.observables import ObservableExpansion
-from qplancherel.partitions import conjugate, partitions_of, size
+from qplancherel.partitions import (
+    MEMO_MAX_SIZE,
+    check_partition,
+    conjugate,
+    partitions_of,
+    size,
+)
 from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
 
 from oracles import parse_qrat
@@ -250,16 +256,37 @@ class TestGrowthSampler:
         for q0 in (0.3, 0.8, 2.0, 5.0):
             for lam in [(), (1,), (3, 1), (2, 2, 1)]:
                 _, probs = growth_transitions(lam, q0)
-                assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+                assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95, 2.0])
+    def test_numeric_transitions_match_symbolic(self, q0):
+        # the telescoped float products against the exact q-hook quotients
+        for n in range(11):
+            for lam in partitions_of(n):
+                bigs, probs = growth_transitions(lam, q0)
+                exact = growth_transitions_symbolic(lam)
+                assert bigs == tuple(exact), lam
+                for big, p in zip(bigs, probs):
+                    assert abs(p - float(exact[big].eval_at(Fraction(q0)))) <= 1e-13
 
     def test_coherency_violation_aborts(self, monkeypatch):
         import qplancherel.measure as measure_mod
 
+        weights = measure_mod._transition_weights
         monkeypatch.setattr(
-            measure_mod, "_log_q_hook_sum", lambda lam, q0: 0.1 * size(lam)
+            measure_mod,
+            "_transition_weights",
+            lambda lam, q0: tuple(1.1 * p for p in weights(lam, q0)),
         )
+        # above the memo size, so no earlier call can have cached the table
         with pytest.raises(GrowthCoherencyError, match="sum to"):
-            growth_transitions((2, 1), 0.5)
+            growth_transitions((MEMO_MAX_SIZE, 1), 0.5)
+
+    @pytest.mark.parametrize("q0", [0.5, 0.9, 2.0])
+    def test_coherent_at_n_1000(self, q0):
+        # the 1e-12 transition-sum check holds along every step to n = 1000
+        for lam in sample_growth(1000, q0, 4, seed=5):
+            assert check_partition(lam) == lam and size(lam) == 1000
 
     def test_deterministic(self):
         assert sample_growth(8, 0.5, 100, seed=2) == sample_growth(8, 0.5, 100, seed=2)

@@ -12,10 +12,6 @@ from qplancherel import montecarlo
 from qplancherel.asymptotics import cov_closed_form, w_shape_at
 from qplancherel.measure import SAMPLE_CHUNK, SAMPLER_CHUNK_FNS, sample_exact_chunk
 from qplancherel.montecarlo import (
-    Check,
-    CltReport,
-    CumulantEstimate,
-    GateResult,
     RunConfig,
     SamplerGateError,
     chi_square_gof,
@@ -27,7 +23,6 @@ from qplancherel.montecarlo import (
     validate_sampler,
 )
 from qplancherel.measure import stat_w
-from qplancherel.partitions import partitions_of
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qplancherel.partitions import (
-    BorderStrip,
     added_row,
     border_strips_of,
     check_partition,
