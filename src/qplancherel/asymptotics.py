@@ -9,6 +9,12 @@ to the limit can be checked without any sampling.  So can the
 departure from normality: the skewness and excess kurtosis of W_k at
 finite n are exact standardized cumulants of the q-character, and they
 are the targets the Monte Carlo report measures its samples against.
+They need no product rule: every moment of Sigma_{k,q} is a polynomial
+in n (Kerov-Olshanski), fixed by exact sums over diagrams of at most r k
+boxes; the product rule stays as the oracle `selftest` compares them
+with.  The orders stop at r k <= PRODUCT_SIZE_LIMIT.  That reach is the
+scope of the report's shape checks, kept so that its output is
+unchanged, and no longer a cost.
 """
 
 from __future__ import annotations
@@ -19,8 +25,9 @@ from functools import cache
 from itertools import permutations as iter_permutations
 from typing import Callable, Sequence
 
+from qplancherel.characters import sigma_eval
 from qplancherel.hecke import sigma_q_in_sigma
-from qplancherel.measure import expectation_sigma
+from qplancherel.measure import expectation_sigma, measure_table
 from qplancherel.observables import (
     PRODUCT_SIZE_LIMIT,
     ObservableExpansion,
@@ -264,29 +271,63 @@ def third_cumulant_z_at(mu: Partition, n: int, q0: Fraction) -> float:
 @cache
 def q_char_cumulants_at(k: int, n: int, q0: Fraction) -> tuple[Fraction, ...]:
     """Exact cumulants (kappa_1, kappa_2, ...) of the normalized
-    q-character chi_q(lam, (k)) under M_{n,q} at a rational q0.
+    q-character chi_q(lam, (k)) = Sigma_{k,q}(lam) / n^(falling k) under
+    M_{n,q} at a rational q0.
 
-    The r-th cumulant multiplies r copies of Sigma_{k,q}, so orders stop
-    at SHAPE_MAX_ORDER or where r k would exceed PRODUCT_SIZE_LIMIT:
-    kappa_3 exists for k <= 4 and kappa_4 for k <= 3.  Coefficients are
-    evaluated at q0 before multiplying, so only constants are combined.
+    The moments E_n[Sigma_{k,q}^r] are read off their polynomial in n
+    (`_moment_differences`), and the cumulants follow by the one-variable
+    moment-cumulant recursion.  Orders stop at SHAPE_MAX_ORDER or where
+    r k would exceed PRODUCT_SIZE_LIMIT: kappa_3 exists for k <= 4 and
+    kappa_4 for k <= 3.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
-    scale = Fraction(1, falling_factorial(n, k))
-    x = ObservableExpansion(
-        {nu: c.eval_at(q0) * scale for nu, c in sigma_q_in_sigma((k,)).terms.items()}
-    )
     top = min(SHAPE_MAX_ORDER, PRODUCT_SIZE_LIMIT // k)
+    diffs = _moment_differences(k, q0, top)
+    ff = falling_factorial(n, k)
+    moments = [Fraction(1)] + [
+        sum(math.comb(n, j) * d[r] for j, d in enumerate(diffs)) / ff ** (r + 1)
+        for r in range(top)
+    ]
+    kappa: list[Fraction] = []
+    for r in range(1, top + 1):
+        lower = sum(
+            math.comb(r - 1, j - 1) * kappa[j - 1] * moments[r - j] for j in range(1, r)
+        )
+        kappa.append(moments[r] - lower)
+    return tuple(kappa)
 
-    def expectation(a: ObservableExpansion) -> QRat:
-        return expectation_of_expansion(a, n, q0)
 
-    return tuple(
-        joint_cumulant(expectation, [x] * r).as_fraction() for r in range(1, top + 1)
-    )
+@cache
+def _moment_differences(
+    k: int, q0: Fraction, top: int
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Forward differences Delta^j E_0, j = 0..top k, of the moments
+    E_m[Sigma_{k,q}^r], r = 1..top, as functions of the size m.
+
+    Sigma_{k,q}^r is a combination of Sigma_rho with |rho| <= r k, and
+    E_m[Sigma_rho] is m^(falling |rho|) times a constant in m
+    (`expectation_sigma`).  So each moment is a polynomial of degree
+    <= r k in m, fixed by its exact values at m = 0..top k, and
+    E_n = sum_j C(n, j) Delta^j E_0 for every n.
+    """
+    coeffs = [(nu, c.eval_at(q0)) for nu, c in sigma_q_in_sigma((k,)).terms.items()]
+    rows = []
+    for m in range(top * k + 1):
+        row = [Fraction(0)] * top
+        for lam, weight in measure_table(m, q0).items():
+            x = sum(c * sigma_eval(nu, lam) for nu, c in coeffs)
+            for r in range(top):
+                weight *= x
+                row[r] += weight
+        rows.append(row)
+    diffs = []
+    while rows:
+        diffs.append(tuple(rows[0]))
+        rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
+    return tuple(diffs)
 
 
 def w_shape_at(k: int, n: int, q0: Fraction) -> tuple[float | None, float | None]:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 
@@ -81,9 +82,24 @@ def measure_value(lam: Partition) -> QRat:
 
 
 @cache
-def measure_table(n: int) -> dict[Partition, QRat]:
-    """Symbolic measure vector over partitions of n, enumeration order."""
-    return {lam: measure_value(lam) for lam in partitions_of(n)}
+def measure_table(
+    n: int, q0: Fraction | None = None
+) -> dict[Partition, QRat] | dict[Partition, Fraction]:
+    """Measure vector over partitions of n, enumeration order.
+
+    q0 = None gives reduced rational functions of q.  A rational q0 gives
+    the exact Fractions of the q-hook formula, dim q0^n(lam) / prod {h}_q0,
+    without building the rational functions first.
+    """
+    if q0 is None:
+        return {lam: measure_value(lam) for lam in partitions_of(n)}
+    qints = list(accumulate(q0**i for i in range(n)))  # {h}_q0 at index h - 1
+    return {
+        lam: Fraction(
+            dim_of(lam) * q0 ** n_stat(lam), math.prod(qints[h - 1] for h in hooks(lam))
+        )
+        for lam in partitions_of(n)
+    }
 
 
 def check_q(q0: float) -> None:
@@ -177,7 +193,7 @@ def _exact_table_cached(n: int, q0: float):
     return measure_probabilities(n, q0)
 
 
-def _rsk_shape(letters: np.ndarray) -> Partition:
+def _rsk_shape(letters: list[int]) -> Partition:
     rows: list[list[int]] = []
     for x in letters:
         for row in rows:
@@ -212,7 +228,8 @@ def sample_rsk_chunk(
         return [conjugate(lam) for lam in dual]
     rng = chunk_generator(seed, 0, chunk_index)
     letters = _geometric_letters(rng, n, m, q0)
-    return [_rsk_shape(letters[i]) for i in range(m)]
+    # Python ints: the insertion loop compares them far faster than int64s
+    return [_rsk_shape(letters[i].tolist()) for i in range(m)]
 
 
 class GrowthCoherencyError(RuntimeError):

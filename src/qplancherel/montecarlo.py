@@ -9,10 +9,12 @@ the run's n: those tend to 0 only like n^(-1/2) and n^(-1) (the
 skewness of W_3 is 0.35 at n = 1000, q = 1/2), so 0 is not a target a
 faithful sampler can meet.  Nothing theoretical is hard-coded in this
 module: every target number is pulled from the exact layer when the
-report is assembled.  Shape targets need the r-fold product of
-Sigma_{k,q}, which the product rule caps at r k <= PRODUCT_SIZE_LIMIT;
-a coordinate beyond that reach gets no skewness (k > 4) or excess
-kurtosis (k > 3) check rather than a check against a wrong target.
+report is assembled.  Shape targets are the exact cumulants of
+`asymptotics.q_char_cumulants_at`, whose orders stop at
+r k <= PRODUCT_SIZE_LIMIT.  That reach is the report's scope, kept so
+that the report is unchanged, not a cost: a coordinate beyond it gets
+no skewness (k > 4) or excess kurtosis (k > 3) check rather than a
+check against a wrong target.
 
 Determinism contract: a report is a pure function of its RunConfig.
 Sampling is fanned out over fixed-size chunks with per-chunk generator

@@ -38,11 +38,12 @@ from qplancherel.observables import (
     ObservableExpansion,
     eval_expansion,
     identity_cumulant,
+    joint_cumulant,
     product_sigma,
     project_to_class_sums,
     transitive_cumulant_oracle,
 )
-from qplancherel.partitions import conjugate, partitions_of
+from qplancherel.partitions import conjugate, falling_factorial, partitions_of
 from qplancherel.ratfunc import QRat, ZERO, qrat_sum
 
 HALF = Fraction(1, 2)
@@ -288,6 +289,35 @@ def check_third_cumulant_decay() -> CheckResult:
     return _ok(name, "; ".join(details))
 
 
+def product_rule_cumulants(
+    k: int, n: int, q0: Fraction, orders: int
+) -> tuple[Fraction, ...]:
+    """Oracle for `asymptotics.q_char_cumulants_at`: joint cumulants of r
+    copies of Sigma_{k,q} / n^(falling k), multiplied out by the product
+    rule and averaged by the closed expectation formula, r = 1..orders."""
+    scale = Fraction(1, falling_factorial(n, k))
+    x = ObservableExpansion(
+        {nu: c.eval_at(q0) * scale for nu, c in sigma_q_in_sigma((k,)).terms.items()}
+    )
+
+    def expectation(a: ObservableExpansion) -> QRat:
+        return asymptotics.expectation_of_expansion(a, n, q0)
+
+    return tuple(
+        joint_cumulant(expectation, [x] * r).as_fraction() for r in range(1, orders + 1)
+    )
+
+
+def check_shape_targets_two_routes() -> CheckResult:
+    name = "shape_targets_two_routes"
+    for k in (2, 3):
+        fast = asymptotics.q_char_cumulants_at(k, 1000, HALF)
+        slow = product_rule_cumulants(k, 1000, HALF, len(fast))
+        if fast != slow:
+            return _fail(name, f"k={k}: interpolated {fast} != product rule {slow}")
+    return _ok(name, "cumulants of chi_q(lam,(k)), k in {2, 3}, n = 1000, q = 1/2")
+
+
 def check_covariance_signs() -> CheckResult:
     name = "covariance_signs"
     two = Fraction(2)
@@ -377,6 +407,7 @@ SYMBOLIC_CHECKS = [
     check_conjugation_duality,
     check_finite_n_drift,
     check_third_cumulant_decay,
+    check_shape_targets_two_routes,
     check_covariance_signs,
     check_covariance_positivity,
     check_report_determinism,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from fractions import Fraction
@@ -10,6 +11,9 @@ from hypothesis import given, strategies as st
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import (
     GrowthCoherencyError,
+    _geometric_letters,
+    _rsk_shape,
+    chunk_generator,
     expectation_brute,
     expectation_sigma,
     expectation_sigma_q,
@@ -215,6 +219,19 @@ class TestRskSampler:
         draws = sample_rsk(1000, 0.5, 1000, seed=42)
         mean_top = np.mean([lam[0] for lam in draws]) / 1000
         assert mean_top == pytest.approx(0.5, abs=0.02)
+
+    @pytest.mark.parametrize("q0", [0.5, 2.0])
+    def test_python_int_letters_draw_the_same_shapes(self, q0):
+        # the numpy int64 insertion loop the sampler used before, one chunk
+        def digest(shapes):
+            return hashlib.sha256(repr(shapes).encode()).hexdigest()
+
+        low = min(q0, 1 / q0)
+        letters = _geometric_letters(chunk_generator(7, 0, 0), 1000, 300, low)
+        old = [_rsk_shape(letters[i]) for i in range(300)]
+        if q0 > 1:
+            old = [conjugate(lam) for lam in old]
+        assert digest(sample_rsk(1000, q0, 300, seed=7)) == digest(old)
 
     def test_q_above_one_conjugates(self):
         # at q = 2 long columns dominate instead of long rows

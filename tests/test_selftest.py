@@ -42,6 +42,20 @@ def test_unmutated_routes_pass():
     assert selftest.check_three_route_covariance().passed
 
 
+def test_shape_targets_two_routes_agree():
+    assert selftest.check_shape_targets_two_routes().passed
+
+
+def test_shape_targets_two_routes_catch_a_wrong_route(monkeypatch):
+    honest = asymptotics.q_char_cumulants_at
+    monkeypatch.setattr(
+        asymptotics, "q_char_cumulants_at", lambda k, n, q0: honest(k, n + 1, q0)
+    )
+    result = selftest.check_shape_targets_two_routes()
+    assert not result.passed
+    assert "k=2" in result.detail
+
+
 def test_render_is_reproducible():
     results = [
         selftest.check_measure_normalization(),
