@@ -269,7 +269,7 @@ def third_cumulant_z_at(mu: Partition, n: int, q0: Fraction) -> float:
 
 
 @cache
-def q_char_cumulants_at(k: int, n: int, q0: Fraction) -> tuple[Fraction, ...]:
+def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction, ...]:
     """Exact cumulants (kappa_1, kappa_2, ...) of the normalized
     q-character chi_q(lam, (k)) = Sigma_{k,q}(lam) / n^(falling k) under
     M_{n,q} at a rational q0.
@@ -279,7 +279,11 @@ def q_char_cumulants_at(k: int, n: int, q0: Fraction) -> tuple[Fraction, ...]:
     moment-cumulant recursion.  Orders stop at SHAPE_MAX_ORDER or where
     r k would exceed PRODUCT_SIZE_LIMIT: kappa_3 exists for k <= 4 and
     kappa_4 for k <= 3.
+
+    A float q0 is read as the Fraction of its exact binary value; the
+    cache keys it as that Fraction, since the two compare and hash equal.
     """
+    q0 = Fraction(q0)
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n:
@@ -330,7 +334,7 @@ def _moment_differences(
     return tuple(diffs)
 
 
-def w_shape_at(k: int, n: int, q0: Fraction) -> tuple[float | None, float | None]:
+def w_shape_at(k: int, n: int, q0: Fraction | float) -> tuple[float | None, float | None]:
     """Skewness and excess kurtosis of W_k = sqrt(n) chi_q(lam, (k)) at
     finite n, both scale-invariant and so read off the q-character's
     cumulants; None where that order is out of reach.

@@ -1,16 +1,16 @@
 """Dimensions and irreducible characters of symmetric groups.
 
-Character values are computed by the Murnaghan-Nakayama rule: strip off
-border strips for the parts >= 2 of the cycle type (largest first), and
-let the dimension of the remaining shape absorb the fixed points.  Two
-evaluation paths share that recursion:
+Two evaluation paths:
 
-* exact: arbitrary-precision integers / Fractions, memoized for small
-  shapes;
-* float: dimension ratios accumulated in log space via the beta-number
-  form of the hook length formula (`partitions.beta_numbers`, where the
-  border strips are found too), for shapes far too large for the exact
-  path to be cheap.
+* exact: the Murnaghan-Nakayama rule over arbitrary-precision integers /
+  Fractions, memoized for small shapes.  Border strips for the parts
+  >= 2 of the cycle type are stripped off (largest first), and the
+  dimension of the remaining shape absorbs the fixed points;
+* float: Sigma_rho is a polynomial in the content power sums of the
+  shape (Kerov-Olshanski), whose integer coefficients are fitted once
+  per cycle type on small diagrams with the exact path.  Per shape it
+  costs a few integer operations per row, and one int / int division
+  rounds the normalized character correctly, at any size.
 
 The q-character evaluator in `hecke` picks between the two by the type
 of its q.
@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
+from operator import mul, sub
 
 from qplancherel.partitions import (
     Partition,
@@ -82,51 +84,109 @@ def char_normalized(lam: Partition, mu: Partition) -> Fraction:
     return Fraction(char_unnormalized(lam, mu), dim_of(lam))
 
 
-def char_normalized_float(lam: Partition, mu: Partition) -> float:
-    """Float path: log-space dimension ratios, no big integers.
+# The last shape's rows lam_i - i, their powers (lam_i - i)^m and its
+# P_0..P_m: the characters of one shape at several cycle types (W_2 and
+# W_3 of one sample) share them.  Callers only read the returned list.
+_last_sums: dict[Partition, tuple[list[int], list[int], list[int]]] = {}
 
-    Each strip removal moves one beta number down by the strip size; the
-    dimension ratio it causes is O(length) to update, so a full
-    evaluation never materializes a factorial.
+
+def _shifted_power_sums(lam: Partition, top: int) -> list[int]:
+    """P_m(lam) = sum over boxes of (c+1)^m - c^m for m = 0..top at least,
+    where c = column - row is the box's content (P_0 = 0, P_1 = |lam|).
+
+    Row i (0-based) holds the contents -i .. lam_i - i - 1, so its sum
+    telescopes to (lam_i - i)^m - (-i)^m: no loop over boxes.  Since
+    P_m = sum_{j<m} C(m, j) p_j, the P_m are the content power sums p_j
+    in a unitriangular integer basis.
     """
-    if size(mu) > size(lam):
-        raise ValueError(f"|mu| = {size(mu)} exceeds |lam| = {size(lam)}")
-    parts = _strip_parts(mu)
-    if not parts:
+    last = _last_sums.get(lam)
+    if last is None:
+        xs = list(map(sub, lam, range(len(lam))))
+        last = xs, xs, [0, sum(lam)]
+    xs, powers, sums = last
+    if len(sums) <= top:
+        empty = _empty_row_sums(len(lam), top)
+        for m in range(len(sums), top + 1):
+            powers = list(map(mul, powers, xs))
+            sums.append(sum(powers) - empty[m])
+        _last_sums.clear()
+        _last_sums[lam] = xs, powers, sums
+    return sums
+
+
+@cache
+def _empty_row_sums(length: int, top: int) -> tuple[int, ...]:
+    """sum_{i < length} (-i)^m for m = 0..top: the rows' offsets in P_m."""
+    return tuple(sum((-i) ** m for i in range(length)) for m in range(top + 1))
+
+
+def _solve(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
+    """x with rows x = rhs, by Gauss-Jordan elimination over Q."""
+    a = [[Fraction(v) for v in row] + [b] for row, b in zip(rows, rhs)]
+    for col in range(len(a)):
+        pivot = next(r for r in range(col, len(a)) if a[r][col])
+        a[col], a[pivot] = a[pivot], a[col]
+        p = a[col]
+        p[:] = [v / p[col] for v in p]
+        for r, row in enumerate(a):
+            if r != col and row[col]:
+                f = row[col]
+                a[r] = [v - f * t for v, t in zip(row, p)]
+    return [row[-1] for row in a]
+
+
+@cache
+def _content_polynomial(
+    mu: Partition,
+) -> tuple[int, int, int, tuple[tuple[int, Partition], ...]]:
+    """Sigma_rho, rho the parts >= 2 of mu, as a polynomial in the
+    shifted power sums: (|mu|, k, d, terms) with k = |rho| and
+    d Sigma_rho = sum c prod_{m in nu} P_m over the terms (c, nu), all
+    integers.
+
+    Sigma_rho has degree |rho| when P_m has weight m (Kerov-Olshanski;
+    Ivanov-Olshanski), so the monomials are the prod P_nu with |nu| <= k.
+    The coefficients are fitted on the diagrams of at most k boxes, as
+    many as monomials.  The system is invertible: on those diagrams the
+    values of the basis Sigma_nu, |nu| <= k, form a block-triangular
+    matrix (Sigma_nu(lam) = 0 for |lam| < |nu|) whose diagonal blocks are
+    character tables.
+    """
+    rho = _strip_parts(mu)
+    k = size(rho)
+    # the partitions of size <= k index both the nodes and the monomials
+    shapes = [lam for m in range(k + 1) for lam in partitions_of(m)]
+    rows = []
+    for lam in shapes:
+        P = _shifted_power_sums(lam, k)
+        rows.append([math.prod(P[m] for m in nu) for nu in shapes])
+    coeffs = _solve(rows, [sigma_eval(rho, lam) for lam in shapes])
+    d = math.lcm(*(c.denominator for c in coeffs))
+    terms = tuple((int(c * d), nu) for c, nu in zip(coeffs, shapes) if c)
+    return size(mu), k, d, terms
+
+
+def char_normalized_float(lam: Partition, mu: Partition) -> float:
+    """chi^lam(mu 1^(n-|mu|)) / dim lam, correctly rounded to a float.
+
+    The integer d Sigma_rho(lam), rho the parts >= 2 of mu, comes from
+    the shifted power sums of lam and the fitted coefficients of
+    `_content_polynomial`; one int / int division by d n^(falling |rho|)
+    rounds it.  The cost is a few integer operations per row.
+    """
+    mu_size, k, d, terms = _content_polynomial(mu)
+    P = _shifted_power_sums(lam, k)
+    n = P[1]
+    if mu_size > n:
+        raise ValueError(f"|mu| = {mu_size} exceeds |lam| = {n}")
+    if not k:
         return 1.0
-    total = 0.0
-
-    def descend(beta: list[int], m: int, idx: int, logacc: float, sign: int):
-        nonlocal total
-        if idx == len(parts):
-            total += sign * math.exp(logacc)
-            return
-        k = parts[idx]
-        occupied = set(beta)
-        for i, b in enumerate(beta):
-            target = b - k
-            if target < 0 or target in occupied:
-                continue
-            height = 0
-            delta = math.lgamma(m - k + 1) - math.lgamma(m + 1)
-            delta += math.lgamma(b + 1) - math.lgamma(target + 1)
-            for j, c in enumerate(beta):
-                if j == i:
-                    continue
-                if target < c < b:
-                    height += 1
-                delta += math.log(abs(target - c)) - math.log(abs(b - c))
-            new_beta = beta[:i] + [target] + beta[i + 1 :]
-            descend(
-                new_beta,
-                m - k,
-                idx + 1,
-                logacc + delta,
-                -sign if height % 2 else sign,
-            )
-
-    descend(beta_numbers(lam), size(lam), 0, 0.0, 1)
-    return total
+    num = 0
+    for c, nu in terms:
+        for m in nu:
+            c *= P[m]
+        num += c
+    return num / (d * math.perm(n, k))
 
 
 def sigma_eval(mu: Partition, lam: Partition) -> Fraction:

@@ -10,7 +10,8 @@ with exact rational-function coefficients:
 where q^nu - 1 is the product of (q^{nu_i} - 1) over the parts.
 
 `q_char_normalized` reads the first expansion at a shape: the normalized
-q-character, symbolic in q, exact at a rational q, or a float.
+q-character, symbolic in q, exact at a rational q, or a float from the
+correctly rounded float characters.
 """
 
 from __future__ import annotations
@@ -82,16 +83,27 @@ def q_char_normalized(
     of the expansion (all have |nu| = |mu|) gives its normalized character.
 
     q0 picks the scalar domain: None a QRat in q, an int or a Fraction
-    the exact Fraction, a float a float from the log-space characters.
+    the exact Fraction, a float a float from the correctly rounded
+    characters of `char_normalized_float`.
     """
     n, k = size(lam), size(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    char = char_normalized_float if isinstance(q0, float) else char_normalized
+    if isinstance(q0, float):
+        total = 0.0
+        for nu, c in _float_coefficients(mu, q0):
+            total += c * char_normalized_float(lam, nu)
+        return total
     return sum(
-        (c if q0 is None else c.eval_at(q0)) * char(lam, nu)
+        (c if q0 is None else c.eval_at(q0)) * char_normalized(lam, nu)
         for nu, c in sigma_q_in_sigma(mu).terms.items()
     )
+
+
+@cache
+def _float_coefficients(mu: Partition, q0: float) -> tuple[tuple[Partition, float], ...]:
+    """The coefficients of `sigma_q_in_sigma(mu)` evaluated at a float q0."""
+    return tuple((nu, c.eval_at(q0)) for nu, c in sigma_q_in_sigma(mu).terms.items())
 
 
 # perfbench calls the exact evaluation by this name

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import qplancherel.asymptotics as asymptotics
-from qplancherel.characters import char_normalized, sigma_eval
+from qplancherel.characters import char_normalized, char_normalized_float, sigma_eval
 from qplancherel.groupcenter import class_product
 from qplancherel.hecke import (
     q_char_normalized,
@@ -318,6 +318,21 @@ def check_shape_targets_two_routes() -> CheckResult:
     return _ok(name, "cumulants of chi_q(lam,(k)), k in {2, 3}, n = 1000, q = 1/2")
 
 
+def check_float_characters_two_routes() -> CheckResult:
+    name = "float_characters_two_routes"
+    n = 10
+    for m in range(2, 6):
+        for rho in partitions_of(m):
+            if min(rho) < 2:
+                continue
+            for lam in partitions_of(n):
+                fast = char_normalized_float(lam, rho)
+                exact = float(sigma_eval(rho, lam) / falling_factorial(n, m))
+                if fast != exact:
+                    return _fail(name, f"rho={rho} lam={lam}: {fast!r} != {exact!r}")
+    return _ok(name, "correctly rounded on all lam of 10 for |rho| <= 5")
+
+
 def check_covariance_signs() -> CheckResult:
     name = "covariance_signs"
     two = Fraction(2)
@@ -408,6 +423,7 @@ SYMBOLIC_CHECKS = [
     check_finite_n_drift,
     check_third_cumulant_decay,
     check_shape_targets_two_routes,
+    check_float_characters_two_routes,
     check_covariance_signs,
     check_covariance_positivity,
     check_report_determinism,

@@ -1,8 +1,9 @@
 """Oracles the tests state expected values with.
 
 A parser for the textual form of `str(QPoly)` and `str(QRat)`, so that
-an expected rational function can be written as it prints, and the
-conjugacy class sizes of the symmetric group.
+an expected rational function can be written as it prints, the
+conjugacy class sizes of the symmetric group, and a float
+Murnaghan-Nakayama evaluation of normalized characters in log space.
 """
 
 from __future__ import annotations
@@ -11,13 +12,61 @@ import math
 import re
 from fractions import Fraction
 
-from qplancherel.partitions import Partition, size, z_of
+from qplancherel.partitions import Partition, beta_numbers, size, z_of
 from qplancherel.ratfunc import QPoly, QRat
 
 
 def conjugacy_class_size(nu: Partition) -> int:
     """|C_nu| = |nu|! / z_nu, permutations of cycle type nu."""
     return math.factorial(size(nu)) // z_of(nu)
+
+
+def char_normalized_float_mn(lam: Partition, mu: Partition) -> float:
+    """chi^lam(mu 1^(n-|mu|)) / dim lam by the Murnaghan-Nakayama rule,
+    with dimension ratios accumulated in log space: no big integers.
+
+    Each strip removal moves one beta number down by the strip size; the
+    dimension ratio it causes is O(length) to update, so a full
+    evaluation never materializes a factorial.
+    """
+    if size(mu) > size(lam):
+        raise ValueError(f"|mu| = {size(mu)} exceeds |lam| = {size(lam)}")
+    parts = sorted((p for p in mu if p >= 2), reverse=True)
+    if not parts:
+        return 1.0
+    total = 0.0
+
+    def descend(beta: list[int], m: int, idx: int, logacc: float, sign: int):
+        nonlocal total
+        if idx == len(parts):
+            total += sign * math.exp(logacc)
+            return
+        k = parts[idx]
+        occupied = set(beta)
+        for i, b in enumerate(beta):
+            target = b - k
+            if target < 0 or target in occupied:
+                continue
+            height = 0
+            delta = math.lgamma(m - k + 1) - math.lgamma(m + 1)
+            delta += math.lgamma(b + 1) - math.lgamma(target + 1)
+            for j, c in enumerate(beta):
+                if j == i:
+                    continue
+                if target < c < b:
+                    height += 1
+                delta += math.log(abs(target - c)) - math.log(abs(b - c))
+            new_beta = beta[:i] + [target] + beta[i + 1 :]
+            descend(
+                new_beta,
+                m - k,
+                idx + 1,
+                logacc + delta,
+                -sign if height % 2 else sign,
+            )
+
+    descend(beta_numbers(lam), size(lam), 0, 0.0, 1)
+    return total
 
 
 _TERM_RE = re.compile(

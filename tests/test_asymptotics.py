@@ -372,6 +372,17 @@ def test_shape_targets_out_of_reach():
     assert w_shape_at(5, 20, HALF) == (None, None)
 
 
+@pytest.mark.parametrize("first, second", [(0.5, HALF), (HALF, 0.5)])
+def test_shape_targets_at_a_float_q_do_not_depend_on_call_order(first, second):
+    # 0.5 and 1/2 are one cache key; both orders must give the same values
+    q_char_cumulants_at.cache_clear()
+    a = w_shape_at(2, 20, first)
+    b = w_shape_at(2, 20, second)
+    q_char_cumulants_at.cache_clear()
+    assert a == b == w_shape_at(2, 20, HALF)
+    assert all(type(c) is Fraction for c in q_char_cumulants_at(2, 20, 0.5))
+
+
 def test_desk_scale_shape_targets():
     # the criterion-3 targets at n = 1000, q = 1/2: (skewness, excess
     # kurtosis) of W_2 and W_3

@@ -6,6 +6,7 @@ from itertools import permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qplancherel import characters
 from qplancherel.characters import (
     char_normalized,
     char_normalized_float,
@@ -229,7 +230,72 @@ class TestFloatPath:
         assert char_normalized_float(lam, (3,)) == pytest.approx(1.0, abs=1e-12)
 
     def test_thousand_box_column_shape(self):
-        # sign character: value on a 2-cycle is -1 (1e-9 is the float
-        # path's advertised relative accuracy)
+        # sign character: value on a 2-cycle is -1.  The float path
+        # rounds the exact value correctly, so it is -1.0 exactly
         lam = (1,) * 1000
-        assert char_normalized_float(lam, (2,)) == pytest.approx(-1.0, rel=1e-9)
+        assert char_normalized_float(lam, (2,)) == -1.0
+
+
+# every shape of at most 12 boxes, and every cycle type without fixed
+# points of size at most 6; the fit of a type of size k uses only the
+# shapes of at most k boxes, so most of these lie past its nodes
+SHAPES_TO_12 = [lam for m in range(13) for lam in partitions_of(m)]
+STRIP_TYPES_TO_6 = [rho for m in range(2, 7) for rho in partitions_of(m) if min(rho) >= 2]
+
+
+def float_path_mismatches() -> list[tuple]:
+    """(lam, rho) where the float path is not the correctly rounded
+    exact normalized character."""
+    return [
+        (lam, rho)
+        for rho in STRIP_TYPES_TO_6
+        for lam in SHAPES_TO_12
+        if size(rho) <= size(lam)
+        and char_normalized_float(lam, rho) != float(char_normalized(lam, rho))
+    ]
+
+
+class TestContentMomentPath:
+    def test_correctly_rounded_on_every_small_shape(self):
+        assert float_path_mismatches() == []
+
+    def test_a_wrong_fitted_coefficient_is_caught(self, monkeypatch):
+        real = characters._content_polynomial
+
+        def one_coefficient_off(mu):
+            mu_size, k, d, terms = real(mu)
+            if mu == (3, 2):
+                (c, nu), *rest = terms
+                terms = ((c + 1, nu), *rest)
+            return mu_size, k, d, terms
+
+        monkeypatch.setattr(characters, "_content_polynomial", one_coefficient_off)
+        wrong = float_path_mismatches()
+        assert wrong and {rho for _, rho in wrong} == {(3, 2)}
+
+    def test_the_fit_is_integral_and_the_right_size(self):
+        # the monomials of weight <= k are indexed by the partitions of
+        # size <= k: 19 of them at k = 5
+        mu_size, k, d, terms = characters._content_polynomial((5, 1))
+        assert (mu_size, k) == (6, 5) and len(terms) <= 19
+        assert all(type(c) is int for c, _ in terms) and d >= 1
+        assert {nu for _, nu in terms} <= set(SHAPES_TO_12[:19])
+
+    def test_sigma_2_and_sigma_3_in_content_power_sums(self):
+        # Sigma_2 = 2 p_1 and Sigma_3 = 3 p_2 - (3/2) n (n - 1), with
+        # P_m = sum_j<m C(m, j) p_j: P_2 = n + 2 p_1, P_3 = n + 3 p_1 + 3 p_2
+        assert characters._content_polynomial((2,))[1:] == (2, 1, ((-1, (1,)), (1, (2,))))
+        k, d, terms = characters._content_polynomial((3,))[1:]
+        lam = (5, 3, 3, 1)
+        contents = [j - i for i, row in enumerate(lam) for j in range(row)]
+        n, p1, p2 = len(contents), sum(contents), sum(c * c for c in contents)
+        P = {1: n, 2: n + 2 * p1, 3: n + 3 * p1 + 3 * p2}
+        value = sum(c * math.prod(P[m] for m in nu) for c, nu in terms)
+        assert Fraction(value, d) == 3 * p2 - Fraction(3, 2) * n * (n - 1)
+        assert Fraction(value, d) == sigma_eval((3,), lam)
+
+    def test_size_guard(self):
+        with pytest.raises(ValueError):
+            char_normalized_float((2,), (3,))
+        with pytest.raises(ValueError):
+            char_normalized_float((2,), (1, 1, 1))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qplancherel.hecke import sigma_q_in_sigma
+from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.measure import (
     GrowthCoherencyError,
     _geometric_letters,
@@ -22,6 +22,7 @@ from qplancherel.measure import (
     measure_probabilities,
     measure_table,
     measure_value,
+    sample_rsk_chunk,
     stat_w,
 )
 from qplancherel.montecarlo import sample_partitions
@@ -35,7 +36,7 @@ from qplancherel.partitions import (
 )
 from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
 
-from oracles import parse_qrat
+from oracles import char_normalized_float_mn, parse_qrat
 
 sigma = ObservableExpansion.sigma
 sample_exact = partial(sample_partitions, method="exact")
@@ -161,6 +162,27 @@ class TestStatW:
         mean = sum(p * stat_w(lam, 2, q0) for lam, p in zip(parts, probs))
         assert mean == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [50, 200, 1000])
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.9, 2.0])
+    def test_against_the_exact_and_the_log_space_characters(self, n, q0):
+        # the exact path costs up to about 1 s a shape at n = 1000 (q = 0.9:
+        # thousands of big-integer dimensions), so there it checks the
+        # first few shapes; the log-space oracle checks all of them.  That
+        # oracle is itself off from the exact W by up to 2.3e-11 at
+        # n = 1000: it sums lgamma values near 6000, each rounded by ~1e-12
+        exact_shapes, mn_tol = (50, 1e-11) if n < 1000 else (4, 1e-10)
+        for i, lam in enumerate(sample_rsk(n, q0, 50, seed=3)):
+            for k in range(2, 6):
+                w = stat_w(lam, k, q0)
+                mn = sum(
+                    c.eval_at(q0) * char_normalized_float_mn(lam, nu)
+                    for nu, c in sigma_q_in_sigma((k,)).terms.items()
+                )
+                assert abs(w - math.sqrt(n) * mn) <= mn_tol
+                if i < exact_shapes:
+                    exact = q_char_normalized(lam, (k,), Fraction(q0))
+                    assert abs(w - math.sqrt(n) * float(exact)) <= 1e-13
+
 
 class TestExactSampler:
     def test_deterministic(self):
@@ -232,6 +254,25 @@ class TestRskSampler:
         if q0 > 1:
             old = [conjugate(lam) for lam in old]
         assert digest(sample_rsk(1000, q0, 300, seed=7)) == digest(old)
+
+    def test_alphabet_cap_as_q_nears_one(self):
+        # the alphabet stops where a letter's tail mass falls below 2^-64;
+        # even the largest uniform below 1 gives a letter under the cap
+        q0 = 0.99
+        cap = math.ceil(64 * math.log(2) / -math.log(q0))
+        assert cap == 4414
+
+        class LargestUniform:
+            def random(self, shape):
+                return np.full(shape, np.nextafter(1.0, 0.0))
+
+        top = _geometric_letters(LargestUniform(), 200, 2, q0)
+        assert (top == 1 + math.floor(math.log(2.0**-53) / math.log(q0))).all()
+        assert top.max() <= cap
+        letters = _geometric_letters(chunk_generator(3, 0, 0), 200, 50, q0)
+        assert 1 <= letters.min() and letters.max() <= cap
+        for lam in sample_rsk_chunk(200, q0, 3, 0, 50):
+            assert size(lam) == 200 and check_partition(lam) == lam
 
     def test_q_above_one_conjugates(self):
         # at q = 2 long columns dominate instead of long rows

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from qplancherel import asymptotics, selftest
+from qplancherel import asymptotics, characters, selftest
 from qplancherel.montecarlo import Check
 from qplancherel.ratfunc import QPoly, QRat
 
@@ -54,6 +54,26 @@ def test_shape_targets_two_routes_catch_a_wrong_route(monkeypatch):
     result = selftest.check_shape_targets_two_routes()
     assert not result.passed
     assert "k=2" in result.detail
+
+
+def test_float_characters_two_routes_agree():
+    assert selftest.check_float_characters_two_routes().passed
+
+
+def test_float_characters_two_routes_catch_a_wrong_coefficient(monkeypatch):
+    honest = characters._content_polynomial
+
+    def last_coefficient_off(mu):
+        mu_size, k, d, terms = honest(mu)
+        if mu == (4,):
+            *rest, (c, nu) = terms
+            terms = (*rest, (c - 1, nu))
+        return mu_size, k, d, terms
+
+    monkeypatch.setattr(characters, "_content_polynomial", last_coefficient_off)
+    result = selftest.check_float_characters_two_routes()
+    assert not result.passed
+    assert "rho=(4,)" in result.detail
 
 
 def test_render_is_reproducible():
