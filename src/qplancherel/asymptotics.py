@@ -199,14 +199,19 @@ def f2_family(l: int) -> ClassFunction:
 
 def mobius_brute(f: ClassFunction, n: int) -> QRat:
     """Partition form: sum over lam of n of ((-1)^len / z_lam) F(lam),
-    F additive over the parts."""
+    F additive over the parts.
+
+    Every partition is enumerated, but f is evaluated once per length m:
+    the sum is sum_m f(m) w_m, w_m the signed 1/z_lam mass of the parts
+    equal to m.
+    """
     _check_mobius_n(n)
-    total = []
+    weights = [Fraction(0)] * (n + 1)
     for lam in partitions_of(n):
-        sign = -1 if len(lam) % 2 else 1
-        fsum = qrat_sum(f(p) for p in lam)
-        total.append(fsum * Fraction(sign, z_of(lam)))
-    return qrat_sum(total)
+        w = Fraction(-1 if len(lam) % 2 else 1, z_of(lam))
+        for p in lam:
+            weights[p] += w
+    return _sum_by_length(f, weights)
 
 
 def mobius_closed(f: ClassFunction, n: int) -> QRat:
@@ -217,18 +222,23 @@ def mobius_closed(f: ClassFunction, n: int) -> QRat:
 
 def mobius_perm_brute(f: ClassFunction, n: int) -> QRat:
     """Original statement: average of (-1)^(number of cycles) F(sigma)
-    over all n! permutations, by direct enumeration."""
+    over all n! permutations, by direct enumeration of their cycles; f
+    is evaluated once per cycle length, as in `mobius_brute`."""
     _check_mobius_n(n)
     if n > 7:
         raise ValueError("permutation enumeration capped at n = 7")
-    total = ZERO
+    counts = [0] * (n + 1)
     for p in iter_permutations(range(n)):
         lengths = cycle_type(p)
-        fsum = ZERO
+        sign = 1 if len(lengths) % 2 == 0 else -1
         for length in lengths:
-            fsum = fsum + f(length)
-        total = total + (fsum if len(lengths) % 2 == 0 else -fsum)
-    return total * Fraction(1, math.factorial(n))
+            counts[length] += sign
+    return _sum_by_length(f, [Fraction(c, math.factorial(n)) for c in counts])
+
+
+def _sum_by_length(f: ClassFunction, weights: Sequence[Fraction]) -> QRat:
+    # sum over m >= 1 of f(m) weights[m], skipping zero weights
+    return qrat_sum(f(m) * w for m, w in enumerate(weights) if m and w)
 
 
 def _check_mobius_n(n: int) -> None:

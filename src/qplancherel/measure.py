@@ -2,8 +2,11 @@
 
 M_{n,q}(lambda) = dim(lambda) q^{n(lambda)} / prod_{x} {h(x)}_q.  The
 symbolic path keeps everything as reduced rational functions over the
-common denominator {n!}_q.  The numeric table works in log space; a
-growth step multiplies only the q-integer ratios of the hooks it lengthens.
+common denominator {n!}_q: M_{n,q}(lambda) = N_lambda / {n!}_q with
+N_lambda an integer polynomial, so the enumeration oracle
+`expectation_brute` sums the N_lambda first and reduces once per
+Sigma_rho.  The numeric table works in log space; a growth step
+multiplies only the q-integer ratios of the hooks it lengthens.
 
 Three samplers produce the same law: exact inverse-CDF over the full
 table (small n), RSK insertion of i.i.d. geometric letters, and the
@@ -28,9 +31,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from qplancherel.characters import dim_of, log_dim
+from qplancherel.characters import dim_of, log_dim, sigma_eval
 from qplancherel.hecke import q_char_normalized
-from qplancherel.observables import ObservableExpansion, eval_expansion
+from qplancherel.observables import ObservableExpansion
 from qplancherel.partitions import (
     Partition,
     added_row,
@@ -44,6 +47,7 @@ from qplancherel.partitions import (
     small_shape_cache,
 )
 from qplancherel.ratfunc import (
+    ZERO_POLY,
     QPoly,
     QRat,
     one_minus_q_pow,
@@ -70,15 +74,16 @@ def _q_hook_product(lam: Partition) -> QPoly:
 
 
 @cache
-def _degree_quotient(lam: Partition) -> QPoly:
-    # {n!}_q / prod {h(x)}_q, a polynomial by the q-hook formula
-    return qfactorial(size(lam)).exact_div(_q_hook_product(lam))
+def _measure_numerator(lam: Partition) -> QPoly:
+    """N_lam = dim(lam) q^{n(lam)} {n!}_q / prod {h(x)}_q, so that
+    M_{n,q}(lam) = N_lam / {n!}_q; integral by the q-hook formula."""
+    quotient = qfactorial(size(lam)).exact_div(_q_hook_product(lam))
+    return QPoly.monomial(n_stat(lam), dim_of(lam)) * quotient
 
 
 def measure_value(lam: Partition) -> QRat:
     """M_{n,q}(lam) as a reduced rational function of q."""
-    num = QPoly.monomial(n_stat(lam), dim_of(lam)) * _degree_quotient(lam)
-    return QRat(num, qfactorial(size(lam)))
+    return QRat(_measure_numerator(lam), qfactorial(size(lam)))
 
 
 @cache
@@ -145,10 +150,24 @@ def expectation_sigma_q(mu: Partition, n: int) -> QRat:
 
 
 def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
-    """Oracle: full enumeration sum_lam M(lam) a(lam), exact."""
+    """Oracle: full enumeration sum_lam M(lam) a(lam), exact.
+
+    Summed per symbol over the common denominator,
+    sum_rho c_rho QRat(sum_lam N_lam Sigma_rho(lam), {n!}_q): every lam of
+    n is still visited, but each Sigma_rho is reduced once, not each lam.
+    """
     if n > BRUTE_EXPECTATION_MAX_N:
         raise ValueError(f"n = {n} exceeds enumeration guard {BRUTE_EXPECTATION_MAX_N}")
-    return qrat_sum(m * eval_expansion(a, lam) for lam, m in measure_table(n).items())
+    lams = partitions_of(n)
+    terms = []
+    for rho, c in a.terms.items():
+        num = ZERO_POLY
+        for lam in lams:
+            value = sigma_eval(rho, lam)
+            if value:
+                num = num + _measure_numerator(lam) * value
+        terms.append(c * QRat(num, qfactorial(n)))
+    return qrat_sum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +229,10 @@ def _rsk_shape(letters: list[int]) -> Partition:
 def _geometric_letters(rng: np.random.Generator, n: int, m: int, q0: float) -> np.ndarray:
     """m rows of n i.i.d. letters with P(i) = (1-q) q^(i-1), 0 < q < 1.
 
-    The alphabet is truncated where the per-letter tail mass drops below
-    2^-64, under floating-point resolution.
+    Letters are clamped at ceil(64 ln 2 / -ln q), where the tail mass
+    drops below 2^-64, but the clamp never binds: a 53-bit uniform u < 1
+    gives at most letter 1 + floor(53 ln 2 / -ln q), below the cap at
+    every q (3653 against 4414 at q = 0.99).  No letter is truncated.
     """
     cap = max(1, math.ceil(64.0 * math.log(2.0) / -math.log(q0)))
     us = rng.random((m, n))

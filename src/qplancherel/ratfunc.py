@@ -1,17 +1,22 @@
 """Exact univariate rational functions in the indeterminate q.
 
-``QPoly`` is a polynomial in q with arbitrary-precision rational
-coefficients, ``QRat`` a reduced quotient of two such polynomials.  QRat
-is kept in a unique canonical form (gcd(num, den) = 1, den monic), so
-``==`` is structural equality and symbolic identities can be asserted
-directly.  Plain rational constants are ``fractions.Fraction``.
+``QPoly`` is a polynomial in q with rational coefficients, stored as a
+tuple of integers over one positive integer denominator in lowest
+terms: every polynomial the package builds is integral up to a single
+rational scalar, so sums, products, exact division and the gcd all run
+over the integers.  ``QRat`` is a reduced quotient of two such
+polynomials.  Both forms are canonical (for QRat gcd(num, den) = 1 and
+den monic), so ``==`` is structural equality and symbolic identities can
+be asserted directly.  Plain rational constants are
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cache
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -20,24 +25,23 @@ class PoleError(ZeroDivisionError):
     """Evaluation of a QRat at a root of its denominator."""
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"not an exact scalar: {c!r}")
-
-
 class QPoly:
-    """Polynomial in q, coefficients stored by ascending exponent."""
+    """Polynomial in q: the coefficient of q^i is ints[i] / den.
 
-    __slots__ = ("coeffs",)
+    Canonical form: no trailing zero in ints, den > 0 and coprime to the
+    content of ints; the zero polynomial is ((), 1).
+    """
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        cs = list(coeffs)
+        for c in cs:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"not an exact scalar: {c!r}")
+        den = math.lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self.ints, self.den = p.ints, p.den
 
     @staticmethod
     def const(c: Scalar) -> "QPoly":
@@ -52,65 +56,71 @@ class QPoly:
     @property
     def degree(self) -> int:
         """Degree, with the convention deg 0 = -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_one(self) -> bool:
-        return self.coeffs == (Fraction(1),)
+        return self.ints == (1,) and self.den == 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.ints:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.ints[-1], self.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, QPoly) and self.coeffs == other.coeffs
+        return (
+            isinstance(other, QPoly) and self.ints == other.ints and self.den == other.den
+        )
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __add__(self, other: "QPoly") -> "QPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.ints, other.ints, self.den
+        if den != other.den:
+            den = math.lcm(den, other.den)
+            a = [c * (den // self.den) for c in a]
+            b = [c * (den // other.den) for c in b]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b) :]
+        return _poly(out, den)
 
     def __neg__(self) -> "QPoly":
-        return QPoly(tuple(-c for c in self.coeffs))
+        return _poly([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "QPoly") -> "QPoly":
         return self + (-other)
 
     def __mul__(self, other) -> "QPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return QPoly()
-            return QPoly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
+            num = other.numerator
+            return _poly([c * num for c in self.ints], self.den * other.denominator)
+        a, b = self.ints, other.ints
         if not a or not b:
-            return QPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return QPoly(out)
+            return ZERO_POLY
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for j, cb in enumerate(b):
+            if cb:
+                for i, ca in enumerate(a, j):
+                    out[i] += ca * cb
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "QPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = QPoly.const(1)
+        result = ONE_POLY
         base = self
         while n:
             if n & 1:
@@ -122,41 +132,48 @@ class QPoly:
     def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.degree
-        lead = other.coeffs[-1]
-        quot = [Fraction(0)] * max(0, len(rem) - dv)
-        while len(rem) - 1 >= dv and any(rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < dv:
-                break
-            shift = len(rem) - 1 - dv
-            factor = rem[-1] / lead
-            quot[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= factor * c
-            rem.pop()
-        return QPoly(quot), QPoly(rem)
+        quot, rem, scale = _int_divmod(self.ints, other.ints)
+        # scale * A = Q B + R for the integer parts A of self and B of other
+        den = scale * self.den
+        return _poly([c * other.den for c in quot], den), _poly(rem, den)
 
     def exact_div(self, other: "QPoly") -> "QPoly":
-        q, r = divmod(self, other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
+        """self / other, which must be a polynomial.
+
+        By Gauss's lemma the quotient by the primitive part of other is
+        then integral, so the division runs over the integers and stops at
+        the first leading coefficient that does not divide.
+        """
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        g = math.gcd(*other.ints)
+        prim = [c // g for c in other.ints] if g != 1 else other.ints
+        quot, _, _ = _int_divmod(self.ints, prim, exact=True)
+        return _poly([c * other.den for c in quot], g * self.den)
 
     def eval(self, x):
-        """Horner evaluation; exact for Fraction x, float otherwise."""
-        if isinstance(x, int):
-            x = Fraction(x)
-        acc = Fraction(0) if isinstance(x, Fraction) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c if isinstance(x, Fraction) else float(c))
+        """Horner evaluation; a Fraction at an int or Fraction x, float otherwise.
+
+        The float path adds each coefficient as the correctly rounded
+        quotient ints[i] / den, which is float() of that Fraction.
+        """
+        ints, den = self.ints, self.den
+        if isinstance(x, (int, Fraction)):
+            # sum ints[i] p^i r^(d-i) over r^d den, for x = p / r
+            p, r = x.numerator, x.denominator
+            acc, rpow = 0, 1
+            for c in reversed(ints):
+                acc = acc * p + c * rpow
+                rpow *= r
+            return Fraction(acc, rpow // r * den) if ints else Fraction(0)
+        acc = 0.0
+        for c in reversed(ints):
+            acc = acc * x + c / den
         return acc
 
     def reversed_(self) -> "QPoly":
         """q^deg * p(1/q), the coefficient-reversed polynomial."""
-        return QPoly(tuple(reversed(self.coeffs)))
+        return _poly(list(reversed(self.ints)), self.den)
 
     def __repr__(self) -> str:
         return f"QPoly({poly_str(self)!r})"
@@ -165,17 +182,74 @@ class QPoly:
         return poly_str(self)
 
 
-ZERO_POLY = QPoly()
-ONE_POLY = QPoly.const(1)
+def _poly(ints: list[int], den: int = 1) -> QPoly:
+    """The canonical QPoly with coefficients ints[i] / den, den != 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        den = 1
+    elif den != 1:
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    p = object.__new__(QPoly)
+    p.ints, p.den = tuple(ints), den
+    return p
+
+
+def _int_divmod(
+    u: Sequence[int], v: Sequence[int], exact: bool = False
+) -> tuple[list[int], list[int], int]:
+    """Division of integer coefficient lists: (quot, rem, scale) with
+    scale u = quot v + rem and deg rem < deg v.
+
+    scale is the product of the leading coefficients of v that failed to
+    divide a step's leading term; with exact, such a step or a nonzero
+    remainder raises instead.
+    """
+    dv = len(v) - 1
+    lv = v[-1]
+    r = list(u)
+    quot = [0] * max(0, len(r) - dv)
+    scale = 1
+    for shift in range(len(r) - 1 - dv, -1, -1):
+        c = r[shift + dv]
+        if not c:
+            continue
+        f, m = divmod(c, lv)
+        if m:
+            if exact:
+                raise ValueError("inexact polynomial division")
+            r = [lv * x for x in r]
+            quot = [lv * x for x in quot]
+            scale *= lv
+            f = c
+        quot[shift] = f
+        for i in range(dv):
+            r[shift + i] -= f * v[i]
+    del r[dv:]
+    while r and not r[-1]:
+        r.pop()
+    if exact and r:
+        raise ValueError("inexact polynomial division")
+    return quot, r, scale
+
+
+ZERO_POLY = _poly([])
+ONE_POLY = _poly([1])
 
 
 def qint(n: int) -> QPoly:
     """The q-integer 1 + q + ... + q^(n-1)."""
     if n < 1:
         raise ValueError("qint requires n >= 1")
-    return QPoly((1,) * n)
+    return _poly([1] * n)
 
 
+@cache
 def qfactorial(n: int) -> QPoly:
     p = ONE_POLY
     for k in range(2, n + 1):
@@ -189,7 +263,7 @@ def one_minus_q_int(a: int) -> QPoly:
         raise ValueError("negative exponent")
     if a == 0:
         return ZERO_POLY
-    return QPoly((1,) + (0,) * (a - 1) + (-1,))
+    return _poly([1] + [0] * (a - 1) + [-1])
 
 
 def one_minus_q_pow(nu: Iterable[int]) -> QPoly:
@@ -203,70 +277,35 @@ def one_minus_q_pow(nu: Iterable[int]) -> QPoly:
 # ---------------------------------------------------------------------------
 # polynomial gcd, primitive PRS over the integers
 
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = math.gcd(g, c)
-        if g == 1:
-            return 1
-    return g
+def _primitive(ints: Sequence[int]) -> list[int]:
+    # ints over their content, the leading coefficient made positive
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    return [c // g for c in ints]
 
 
-def _to_primitive_int(p: QPoly) -> list[int]:
-    denom_lcm = 1
-    for c in p.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in p.coeffs]
-    g = _int_content(ints)
-    if g > 1:
-        ints = [c // g for c in ints]
-    if ints and ints[-1] < 0:
-        ints = [-c for c in ints]
-    return ints
-
-
-def _int_prem(u: list[int], v: list[int]) -> list[int]:
-    # pseudo-remainder of u by v (both nonempty, deg u >= deg v)
-    dv = len(v) - 1
-    lv = v[-1]
-    r = list(u)
-    while len(r) - 1 >= dv:
-        shift = len(r) - 1 - dv
-        c = r[-1]
-        if lv != 1:
-            r = [lv * x for x in r]
-        for i in range(dv):
-            r[shift + i] -= c * v[i]
-        r.pop()
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    return r
+def _monic(ints: Sequence[int]) -> QPoly:
+    prim = _primitive(ints)
+    return _poly(prim, prim[-1])
 
 
 def poly_gcd(a: QPoly, b: QPoly) -> QPoly:
-    """Monic gcd, computed by a primitive-part PRS over the integers."""
+    """Monic gcd, computed by a primitive-part PRS on the integer
+    coefficients (the denominators do not change the gcd)."""
     if a.is_zero() and b.is_zero():
         return ZERO_POLY
     if a.is_zero():
-        return b * (1 / b.lead)
+        return _monic(b.ints)
     if b.is_zero():
-        return a * (1 / a.lead)
-    u, v = _to_primitive_int(a), _to_primitive_int(b)
+        return _monic(a.ints)
+    u, v = _primitive(a.ints), _primitive(b.ints)
     if len(u) < len(v):
         u, v = v, u
-    while v:
-        r = _int_prem(u, v)
-        if r:
-            g = _int_content(r)
-            if g > 1:
-                r = [c // g for c in r]
-            if r[-1] < 0:
-                r = [-c for c in r]
-        u, v = v, r
-    lead = u[-1]
-    return QPoly(tuple(Fraction(c, lead) for c in u))
+    while len(v) > 1:
+        r = _int_divmod(u, v)[1]  # a nonzero multiple of the remainder
+        u, v = v, (_primitive(r) if r else r)
+    return ONE_POLY if v else _monic(u)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +363,7 @@ class QRat:
         """The value of a constant QRat; raises if q actually appears."""
         if not self.den.is_one() or self.num.degree > 0:
             raise ValueError(f"not a constant: {self}")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return Fraction(self.num.ints[0], self.num.den) if self.num else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, QPoly)):
@@ -474,10 +513,10 @@ def poly_str(p: QPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for e, c in enumerate(p.coeffs):
+    for e, c in enumerate(p.ints):
         if c == 0:
             continue
-        mag = abs(c)
+        mag = Fraction(abs(c), p.den)
         if e == 0:
             body = str(mag)
         else:

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
+import time
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 import qplancherel.asymptotics as asymptotics
@@ -54,6 +55,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check, set by `run`
 
 
 def _ok(name: str, detail: str = "") -> CheckResult:
@@ -439,7 +441,12 @@ def run(full: bool = False) -> list[CheckResult]:
     checks = list(SYMBOLIC_CHECKS)
     if full:
         checks += FULL_CHECKS
-    return [c() for c in checks]
+    results = []
+    for check in checks:
+        start = time.perf_counter()
+        result = check()
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return results
 
 
 def summary(results: list[CheckResult]) -> dict:
@@ -459,7 +466,8 @@ def render(results: list[CheckResult], fmt: str = "text") -> str:
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"
-        lines.append(f"{mark}  {r.name}" + (f"  [{r.detail}]" if r.detail else ""))
+        detail = f"  [{r.detail}]" if r.detail else ""
+        lines.append(f"{mark}  {r.name}{detail}  ({r.seconds:.2f} s)")
     s = summary(results)
     lines.append(f"{s['passed']} passed, {s['failed']} failed")
     return "\n".join(lines) + "\n"

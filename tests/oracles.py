@@ -1,9 +1,11 @@
 """Oracles the tests state expected values with.
 
 A parser for the textual form of `str(QPoly)` and `str(QRat)`, so that
-an expected rational function can be written as it prints, the
-conjugacy class sizes of the symmetric group, and a float
-Murnaghan-Nakayama evaluation of normalized characters in log space.
+an expected rational function can be written as it prints; polynomial
+arithmetic on plain lists of Fractions, the reference for the integer
+`QPoly`; the per-partition expectation sum; the conjugacy class sizes
+of the symmetric group; and a float Murnaghan-Nakayama evaluation of
+normalized characters in log space.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ import math
 import re
 from fractions import Fraction
 
-from qplancherel.partitions import Partition, beta_numbers, size, z_of
-from qplancherel.ratfunc import QPoly, QRat
+from qplancherel.measure import measure_value
+from qplancherel.observables import ObservableExpansion, eval_expansion
+from qplancherel.partitions import Partition, beta_numbers, partitions_of, size, z_of
+from qplancherel.ratfunc import QPoly, QRat, qrat_sum
 
 
 def conjugacy_class_size(nu: Partition) -> int:
@@ -113,3 +117,67 @@ def parse_qrat(text: str) -> QRat:
     if m:
         return QRat(parse_poly(m.group("num")), parse_poly(m.group("den")))
     return QRat(parse_poly(s))
+
+
+# ---------------------------------------------------------------------------
+# polynomials as lists of Fractions, ascending exponent, no trailing zero
+
+def frac_strip(cs) -> list[Fraction]:
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def frac_add(a, b) -> list[Fraction]:
+    n = max(len(a), len(b))
+    return frac_strip(
+        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
+    )
+
+
+def frac_mul(a, b) -> list[Fraction]:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return frac_strip(out)
+
+
+def frac_divmod(a, b) -> tuple[list[Fraction], list[Fraction]]:
+    """Long division over the rationals, b nonzero."""
+    rem, b = frac_strip(a), frac_strip(b)
+    quot = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    while len(rem) >= len(b):
+        shift = len(rem) - len(b)
+        f = rem[-1] / b[-1]
+        quot[shift] = f
+        for i, c in enumerate(b):
+            rem[shift + i] -= f * c
+        rem = frac_strip(rem[:-1])
+    return frac_strip(quot), rem
+
+
+def frac_gcd(a, b) -> list[Fraction]:
+    """Monic gcd by Euclid's algorithm over the rationals."""
+    a, b = frac_strip(a), frac_strip(b)
+    while b:
+        a, b = b, frac_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def frac_eval(a, x):
+    """Horner evaluation; at a float x each coefficient enters as float(c)."""
+    exact = isinstance(x, (int, Fraction))
+    acc = Fraction(0) if exact else 0.0
+    for c in reversed(a):
+        acc = acc * x + (c if exact else float(c))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# expectations
+
+def expectation_by_partition(a: ObservableExpansion, n: int) -> QRat:
+    """sum over lam of n of M(lam) a(lam), one reduced term per partition."""
+    return qrat_sum(measure_value(lam) * eval_expansion(a, lam) for lam in partitions_of(n))

@@ -1,6 +1,7 @@
 """Limit covariances: route agreement, Mobius inversion, finite-n drift."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,19 @@ def test_mobius_partition_form_equals_permutation_form(n):
     for coeffs in [[0, 0, 1], [1, -2, 0, 3], [0, Fraction(1, 2)]]:
         f = poly_class_function(coeffs)
         assert mobius_perm_brute(f, n) == mobius_brute(f, n)
+
+
+@pytest.mark.parametrize("route", [mobius_brute, mobius_perm_brute])
+def test_mobius_oracles_evaluate_f_once_per_length(route):
+    honest = poly_class_function([1, -2, 0, 3])
+    calls = Counter()
+
+    def f(m):
+        calls[m] += 1
+        return honest(m)
+
+    assert route(f, 6) == mobius_closed(honest, 6)
+    assert set(calls) <= set(range(1, 7)) and set(calls.values()) == {1}
 
 
 def test_mobius_rational_family():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from qplancherel import measure
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.measure import (
     GrowthCoherencyError,
@@ -36,7 +37,7 @@ from qplancherel.partitions import (
 )
 from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
 
-from oracles import char_normalized_float_mn, parse_qrat
+from oracles import char_normalized_float_mn, expectation_by_partition, parse_qrat
 
 sigma = ObservableExpansion.sigma
 sample_exact = partial(sample_partitions, method="exact")
@@ -142,6 +143,31 @@ class TestExpectations:
             sigma((2,)), 5
         ) + expectation_brute(sigma((1, 1)), 5)
         assert lhs == rhs
+
+
+# Sigma_empty + q Sigma_(2) + Sigma_(3,1): symbols of three sizes, one
+# coefficient depending on q
+MIXED = ObservableExpansion({(): 1, (2,): QRat(QPoly.monomial(1)), (3, 1): 1})
+
+
+class TestBruteExpectation:
+    """`expectation_brute` reduces once per symbol over {n!}_q; the
+    reference reduces one measure value times a(lam) per partition."""
+
+    @pytest.mark.parametrize("n", range(0, 9))
+    def test_equals_the_per_partition_sum(self, n):
+        assert expectation_brute(MIXED, n) == expectation_by_partition(MIXED, n)
+
+    def test_a_perturbed_numerator_is_caught(self, monkeypatch):
+        n, lam = 6, (4, 2)
+        want = expectation_by_partition(MIXED, n)  # before the perturbation
+        honest = measure._measure_numerator
+
+        def perturbed(mu):
+            return honest(mu) + QPoly.monomial(1) if mu == lam else honest(mu)
+
+        monkeypatch.setattr(measure, "_measure_numerator", perturbed)
+        assert expectation_brute(MIXED, n) != want
 
 
 class TestStatW:
@@ -256,8 +282,9 @@ class TestRskSampler:
         assert digest(sample_rsk(1000, q0, 300, seed=7)) == digest(old)
 
     def test_alphabet_cap_as_q_nears_one(self):
-        # the alphabet stops where a letter's tail mass falls below 2^-64;
-        # even the largest uniform below 1 gives a letter under the cap
+        # the cap is where a letter's tail mass falls below 2^-64, but it
+        # never binds: the largest 53-bit uniform below 1 gives letter
+        # 1 + floor(53 ln 2 / -ln q) = 3653 here, so nothing is truncated
         q0 = 0.99
         cap = math.ceil(64 * math.log(2) / -math.log(q0))
         assert cap == 4414

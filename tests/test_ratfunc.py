@@ -1,8 +1,13 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qplancherel.asymptotics import cov_closed_form
+from qplancherel.hecke import sigma_q_in_sigma
+from qplancherel.measure import expectation_brute, measure_table
+from qplancherel.observables import ObservableExpansion
 from qplancherel.ratfunc import (
     ONE,
     PoleError,
@@ -17,7 +22,16 @@ from qplancherel.ratfunc import (
     qrat_sum,
 )
 
-from oracles import parse_poly, parse_qrat
+from oracles import (
+    frac_add,
+    frac_divmod,
+    frac_eval,
+    frac_gcd,
+    frac_mul,
+    frac_strip,
+    parse_poly,
+    parse_qrat,
+)
 
 halves = st.fractions(max_denominator=8)
 small_polys = st.lists(
@@ -110,6 +124,126 @@ class TestPolyGcd:
         # c divides the gcd, so division must be exact
         q, r = divmod(g, c * (1 / c.lead))
         assert r.is_zero()
+
+
+frac_lists = st.lists(
+    st.fractions(min_value=-6, max_value=6, max_denominator=6), min_size=0, max_size=6
+)
+nonzero_frac_lists = frac_lists.filter(lambda cs: any(cs))
+
+
+def as_fractions(p: QPoly) -> list[Fraction]:
+    return [Fraction(c, p.den) for c in p.ints]
+
+
+class TestIntegerForm:
+    """QPoly against plain Fraction-list arithmetic; its integer tuple
+    over one denominator must be canonical."""
+
+    @given(frac_lists)
+    def test_canonical_storage(self, xs):
+        p = QPoly(xs)
+        assert as_fractions(p) == frac_strip(xs)
+        assert all(isinstance(c, int) for c in p.ints)
+        assert p.den > 0 and math.gcd(p.den, *p.ints) == 1
+        assert not p.ints or p.ints[-1] != 0
+
+    @given(frac_lists, frac_lists)
+    def test_add_sub_mul(self, xs, ys):
+        a, b = QPoly(xs), QPoly(ys)
+        assert a + b == QPoly(frac_add(xs, ys))
+        assert a - b == QPoly(frac_add(xs, [-y for y in ys]))
+        assert a * b == QPoly(frac_mul(xs, ys))
+
+    @given(frac_lists, st.fractions(min_value=-6, max_value=6, max_denominator=6))
+    def test_scalar_mul(self, xs, c):
+        assert QPoly(xs) * c == QPoly([x * c for x in xs]) == c * QPoly(xs)
+
+    @given(frac_lists, nonzero_frac_lists)
+    def test_divmod_and_exact_div(self, xs, ys):
+        a, b = QPoly(xs), QPoly(ys)
+        quot, rem = frac_divmod(xs, ys)
+        assert divmod(a, b) == (QPoly(quot), QPoly(rem))
+        assert (a * b).exact_div(b) == a
+        if rem:
+            with pytest.raises(ValueError):
+                a.exact_div(b)
+        else:
+            assert a.exact_div(b) == QPoly(quot)
+
+    @given(frac_lists, frac_lists)
+    def test_gcd(self, xs, ys):
+        assert poly_gcd(QPoly(xs), QPoly(ys)) == QPoly(frac_gcd(xs, ys))
+
+    @given(frac_lists, st.fractions(min_value=-3, max_value=3, max_denominator=7))
+    def test_eval_exact(self, xs, x):
+        value = QPoly(xs).eval(x)
+        assert isinstance(value, Fraction) and value == frac_eval(xs, x)
+
+    @given(
+        frac_lists,
+        st.floats(min_value=-3, max_value=3, allow_nan=False, allow_infinity=False),
+    )
+    def test_eval_float_is_bit_identical(self, xs, x):
+        got, want = QPoly(xs).eval(x), frac_eval(frac_strip(xs), x)
+        assert got == want and math.copysign(1, got) == math.copysign(1, want)
+
+    def test_eval_float_of_huge_coefficients(self):
+        # int / int true division is correctly rounded, like float(Fraction)
+        xs = [Fraction(10**30 + 7, 3), Fraction(-(10**40), 9), Fraction(1, 10**25)]
+        assert QPoly(xs).eval(0.7) == frac_eval(xs, 0.7)
+
+    @given(frac_lists, frac_lists, st.integers(min_value=1, max_value=12))
+    def test_equal_values_print_and_hash_alike(self, xs, ys, k):
+        a = QPoly(xs)
+        other = (a + QPoly(ys)) * Fraction(k, 7) * Fraction(7, k) - QPoly(ys)
+        assert other == a
+        assert (other.ints, other.den) == (a.ints, a.den)
+        assert repr(other) == repr(a) and hash(other) == hash(a)
+
+    def test_rejects_inexact_scalars(self):
+        with pytest.raises(TypeError):
+            QPoly((1, 0.5))
+
+    def test_reversed_strips_the_zeros_it_creates(self):
+        p = QPoly((0, 0, Fraction(1, 2), 3))
+        assert p.reversed_() == QPoly((3, Fraction(1, 2)))
+        assert p.reversed_().degree == 1
+
+
+class TestGolden:
+    """Rendered values as the Fraction-coefficient implementation printed
+    them; the integer form must not move a character."""
+
+    def test_measure_table_five(self):
+        got = {lam: str(v) for lam, v in measure_table(5).items()}
+        assert got == {
+            (5,): "(1) / (1 + 4*q + 9*q^2 + 15*q^3 + 20*q^4 + 22*q^5 + 20*q^6"
+            " + 15*q^7 + 9*q^8 + 4*q^9 + q^10)",
+            (4, 1): "(4*q) / (1 + 3*q + 5*q^2 + 6*q^3 + 6*q^4 + 5*q^5 + 3*q^6 + q^7)",
+            (3, 2): "(5*q^2) / (1 + 3*q + 5*q^2 + 6*q^3 + 5*q^4 + 3*q^5 + q^6)",
+            (3, 1, 1): "(6*q^3) / (1 + 3*q + 4*q^2 + 4*q^3 + 4*q^4 + 3*q^5 + q^6)",
+            (2, 2, 1): "(5*q^4) / (1 + 3*q + 5*q^2 + 6*q^3 + 5*q^4 + 3*q^5 + q^6)",
+            (2, 1, 1, 1): "(4*q^6) / (1 + 3*q + 5*q^2 + 6*q^3 + 6*q^4 + 5*q^5"
+            " + 3*q^6 + q^7)",
+            (1, 1, 1, 1, 1): "(q^10) / (1 + 4*q + 9*q^2 + 15*q^3 + 20*q^4 + 22*q^5"
+            " + 20*q^6 + 15*q^7 + 9*q^8 + 4*q^9 + q^10)",
+        }
+
+    def test_closed_form_covariance(self):
+        assert str(cov_closed_form(3, 4)) == (
+            "(q^4 - 5*q^5 + 10*q^6 - 10*q^7 + 5*q^8 - q^9)"
+            " / (1 + 2*q^2 + q^3 + 2*q^4 + q^5 + 2*q^6 + q^8)"
+        )
+
+    def test_brute_expectations(self):
+        assert str(expectation_brute(sigma_q_in_sigma((2, 1)), 6)) == "0"
+        sigma21 = ObservableExpansion.sigma((2, 1))
+        assert str(expectation_brute(sigma21, 5)) == "(60 - 60*q) / (1 + q)"
+        multi = ObservableExpansion({(): 1, (2,): QRat(QPoly((0, 1))), (3, 1): 1})
+        assert str(expectation_brute(multi, 6)) == (
+            "(361 - 328*q - 358*q^2 + 361*q^3 - 30*q^4) / (1 + 2*q + 2*q^2 + q^3)"
+        )
 
 
 class TestQRat:

@@ -101,6 +101,21 @@ def test_render_text_format():
     assert lines[-1] == "1 passed, 1 failed"
 
 
+def test_run_times_each_check(monkeypatch):
+    monkeypatch.setattr(
+        selftest,
+        "SYMBOLIC_CHECKS",
+        [selftest.check_product_worked_example, selftest.check_measure_normalization],
+    )
+    results = selftest.run()
+    assert [r.name for r in results] == ["product_worked_example", "measure_normalization"]
+    assert all(r.passed and r.seconds > 0 for r in results)
+    lines = selftest.render(results, "text").splitlines()
+    assert lines[1].endswith(f"  ({results[1].seconds:.2f} s)")
+    payload = json.loads(selftest.render(results, "json"))
+    assert payload["checks"][1]["seconds"] == results[1].seconds
+
+
 def test_render_json_format():
     results = [selftest.CheckResult("good", True, "fine")]
     payload = json.loads(selftest.render(results, "json"))
