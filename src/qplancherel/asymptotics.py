@@ -1,20 +1,21 @@
-"""Limit covariances of the rescaled character statistics.
+"""Limit covariances of the rescaled character statistics, and the exact
+approach to them at finite n.
 
-The same covariance is computed along three independent routes: the
+The limit covariance is computed along three independent routes: the
 partition double sum, its reduction through the Mobius inversion for
 additive class functions, and the closed form; agreement is exact
-structural equality of reduced rational functions.  The finite-n
-covariances of the rescaled symbols are exact as well, so convergence
-to the limit can be checked without any sampling.  So can the
-departure from normality: the skewness and excess kurtosis of W_k at
-finite n are exact standardized cumulants of the q-character, and they
-are the targets the Monte Carlo report measures its samples against.
-They need no product rule: every moment of Sigma_{k,q} is a polynomial
-in n (Kerov-Olshanski), fixed by exact sums over diagrams of at most r k
-boxes; the product rule stays as the oracle `selftest` compares them
-with.  The orders stop at r k <= PRODUCT_SIZE_LIMIT.  That reach is the
-scope of the report's shape checks, kept so that its output is
-unchanged, and no longer a cost.
+structural equality of reduced rational functions.
+
+At finite n and a rational q0 there is one exact route.  The expectation
+of a product of Sigma-expansions of total degree d is a polynomial of
+degree <= d in n (Kerov-Olshanski), fixed by exact sums over diagrams of
+at most d boxes and extended to any n by forward differences.  The
+covariance of the rescaled symbols, their third cumulant, and the
+cumulants of the q-character (whose skewness and excess kurtosis are the
+report's shape targets) all come from it, with no bound on n; the
+product rule is only the oracle `selftest` compares them with.  The
+q-character's orders stop at r k <= PRODUCT_SIZE_LIMIT, the scope of the
+report's shape checks, kept so that its output is unchanged.
 """
 
 from __future__ import annotations
@@ -28,12 +29,7 @@ from typing import Callable, Sequence
 from qplancherel.characters import sigma_eval
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import expectation_sigma, measure_table
-from qplancherel.observables import (
-    PRODUCT_SIZE_LIMIT,
-    ObservableExpansion,
-    joint_cumulant,
-    product_sigma,
-)
+from qplancherel.observables import PRODUCT_SIZE_LIMIT, ObservableExpansion
 from qplancherel.partitions import (
     Partition,
     cycle_type,
@@ -54,8 +50,6 @@ from qplancherel.ratfunc import (
 )
 
 DOUBLE_SUM_MAX = 14  # k + l beyond this: partition grid too large
-FINITE_COV_MAX_SIZE = 10
-FINITE_COV_MAX_N = 40
 SHAPE_MAX_ORDER = 4  # skewness and excess kurtosis need cumulants up to 4
 
 ClassFunction = Callable[[int], QRat]
@@ -85,41 +79,6 @@ def limit_cov_z(mu: Partition, nu: Partition) -> QRat:
         one_minus_q_pow(union(mu, nu)),
     )
     return prefactor * inner
-
-
-def expectation_of_expansion(
-    a: ObservableExpansion, n: int, q0: Fraction | None = None
-) -> QRat:
-    """E under M_{n,q} by linearity and the closed expectation formula.
-
-    With a rational q0 every term is evaluated there before summing: the
-    result is the constant value at q0, reached without adding rational
-    functions of q.
-    """
-    if q0 is None:
-        return qrat_sum(c * expectation_sigma(rho, n) for rho, c in a.terms.items())
-    total = Fraction(0)
-    for rho, c in a.terms.items():
-        total += c.eval_at(q0) * _expectation_sigma_at(rho, n, q0)
-    return QRat(total)
-
-
-@cache
-def _expectation_sigma_at(mu: Partition, n: int, q0: Fraction) -> Fraction:
-    return expectation_sigma(mu, n).eval_at(q0)
-
-
-def cov_z_finite(mu: Partition, nu: Partition, n: int) -> QRat:
-    """Exact covariance of Z at finite n:
-    n^(1-|mu|-|nu|) (E[Sigma_mu Sigma_nu] - E[Sigma_mu] E[Sigma_nu])."""
-    k, l = size(mu), size(nu)
-    if k + l > FINITE_COV_MAX_SIZE:
-        raise ValueError(f"|mu|+|nu| = {k + l} exceeds {FINITE_COV_MAX_SIZE}")
-    if n > FINITE_COV_MAX_N:
-        raise ValueError(f"n = {n} exceeds {FINITE_COV_MAX_N}")
-    mixed = expectation_of_expansion(product_sigma(mu, nu), n)
-    centered = mixed - expectation_sigma(mu, n) * expectation_sigma(nu, n)
-    return centered * Fraction(1, n ** (k + l - 1))
 
 
 def cov_double_sum(k: int, l: int) -> QRat:
@@ -262,20 +221,24 @@ def reduce_covariance_via_mobius(k: int, l: int) -> QRat:
 
 
 # ---------------------------------------------------------------------------
-# higher cumulants of the rescaled symbols
+# exact values at finite n
 
-@cache
-def third_cumulant_sigma(mu: Partition, n: int) -> QRat:
-    """Exact third cumulant of Sigma_mu under M_{n,q}."""
-    x = ObservableExpansion.sigma(mu)
-    return joint_cumulant(lambda a: expectation_of_expansion(a, n), [x, x, x])
+def cov_z_finite(mu: Partition, nu: Partition, n: int, q0: Fraction) -> Fraction:
+    """Exact covariance of Z at finite n and a rational q0:
+    n^(1-|mu|-|nu|) (E[Sigma_mu Sigma_nu] - E[Sigma_mu] E[Sigma_nu])."""
+    x, y = ObservableExpansion.sigma(mu), ObservableExpansion.sigma(nu)
+    e_x, e_xy = _moments_at((x, y), n, q0)
+    (e_y,) = _moments_at((y,), n, q0)
+    return (e_xy - e_x * e_y) / n ** (size(mu) + size(nu) - 1)
 
 
 def third_cumulant_z_at(mu: Partition, n: int, q0: Fraction) -> float:
     """Numeric third cumulant of Z_mu = n^(1/2-|mu|)(Sigma_mu - E):
-    the half-integer power of n makes this a float."""
-    scale = float(n) ** (1.5 - 3.0 * size(mu))
-    return float(third_cumulant_sigma(mu, n).eval_at(q0)) * scale
+    exact for Sigma_mu, then rescaled by a half-integer power of n,
+    which makes it a float."""
+    x = ObservableExpansion.sigma(mu)
+    k3 = _cumulants(_moments_at((x, x, x), n, q0))[2]
+    return float(k3) * float(n) ** (1.5 - 3.0 * size(mu))
 
 
 @cache
@@ -284,57 +247,59 @@ def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction,
     q-character chi_q(lam, (k)) = Sigma_{k,q}(lam) / n^(falling k) under
     M_{n,q} at a rational q0.
 
-    The moments E_n[Sigma_{k,q}^r] are read off their polynomial in n
-    (`_moment_differences`), and the cumulants follow by the one-variable
-    moment-cumulant recursion.  Orders stop at SHAPE_MAX_ORDER or where
-    r k would exceed PRODUCT_SIZE_LIMIT: kappa_3 exists for k <= 4 and
-    kappa_4 for k <= 3.
+    Orders stop at SHAPE_MAX_ORDER or where r k would exceed
+    PRODUCT_SIZE_LIMIT: kappa_3 exists for k <= 4 and kappa_4 for k <= 3.
 
     A float q0 is read as the Fraction of its exact binary value; the
     cache keys it as that Fraction, since the two compare and hash equal.
     """
-    q0 = Fraction(q0)
     if k < 2:
         raise ValueError("k must be >= 2")
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
     top = min(SHAPE_MAX_ORDER, PRODUCT_SIZE_LIMIT // k)
-    diffs = _moment_differences(k, q0, top)
     ff = falling_factorial(n, k)
-    moments = [Fraction(1)] + [
-        sum(math.comb(n, j) * d[r] for j, d in enumerate(diffs)) / ff ** (r + 1)
-        for r in range(top)
+    moments = _moments_at((sigma_q_in_sigma((k,)),) * top, n, q0)
+    return _cumulants([m / ff ** (r + 1) for r, m in enumerate(moments)])
+
+
+def _moments_at(
+    xs: tuple[ObservableExpansion, ...], n: int, q0: Fraction
+) -> list[Fraction]:
+    """E_n[x_1 ... x_r] under M_{n,q0}, r = 1..len(xs), by Newton's
+    forward formula E_n = sum_j C(n, j) Delta^j E_0.  A float q0 keys the
+    table as its exact Fraction, which it compares and hashes equal to."""
+    diffs = _moment_differences(xs, Fraction(q0))
+    return [
+        sum(math.comb(n, j) * d[r] for j, d in enumerate(diffs)) for r in range(len(xs))
     ]
-    kappa: list[Fraction] = []
-    for r in range(1, top + 1):
-        lower = sum(
-            math.comb(r - 1, j - 1) * kappa[j - 1] * moments[r - j] for j in range(1, r)
-        )
-        kappa.append(moments[r] - lower)
-    return tuple(kappa)
 
 
 @cache
 def _moment_differences(
-    k: int, q0: Fraction, top: int
+    xs: tuple[ObservableExpansion, ...], q0: Fraction
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Forward differences Delta^j E_0, j = 0..top k, of the moments
-    E_m[Sigma_{k,q}^r], r = 1..top, as functions of the size m.
+    """Forward differences Delta^j E_0, j = 0..d, of the moments
+    E_m[x_1 ... x_r], r = 1..len(xs), as functions of the size m, with
+    the coefficients of the x_i taken at q0 and d the sum of their
+    degrees.
 
-    Sigma_{k,q}^r is a combination of Sigma_rho with |rho| <= r k, and
+    x_1 ... x_r is a combination of Sigma_rho with |rho| <= d, and
     E_m[Sigma_rho] is m^(falling |rho|) times a constant in m
     (`expectation_sigma`).  So each moment is a polynomial of degree
-    <= r k in m, fixed by its exact values at m = 0..top k, and
-    E_n = sum_j C(n, j) Delta^j E_0 for every n.
+    <= d in m, fixed by its exact values at m = 0..d.  One pass over
+    those diagrams evaluates each distinct x_i once per diagram.
     """
-    coeffs = [(nu, c.eval_at(q0)) for nu, c in sigma_q_in_sigma((k,)).terms.items()]
+    distinct = list(dict.fromkeys(xs))
+    coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in distinct]
+    slots = [distinct.index(x) for x in xs]
     rows = []
-    for m in range(top * k + 1):
-        row = [Fraction(0)] * top
+    for m in range(sum(x.degree for x in xs) + 1):
+        row = [Fraction(0)] * len(xs)
         for lam, weight in measure_table(m, q0).items():
-            x = sum(c * sigma_eval(nu, lam) for nu, c in coeffs)
-            for r in range(top):
-                weight *= x
+            values = [sum(c * sigma_eval(nu, lam) for nu, c in cs) for cs in coeffs]
+            for r, i in enumerate(slots):
+                weight *= values[i]
                 row[r] += weight
         rows.append(row)
     diffs = []
@@ -342,6 +307,34 @@ def _moment_differences(
         diffs.append(tuple(rows[0]))
         rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
     return tuple(diffs)
+
+
+def _cumulants(moments: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Cumulants kappa_1..kappa_r of one variable from its raw moments
+    m_1..m_r, by kappa_r = m_r - sum_j C(r-1, j-1) kappa_j m_(r-j)."""
+    m = [Fraction(1), *moments]
+    kappa: list[Fraction] = []
+    for r in range(1, len(m)):
+        lower = sum(
+            math.comb(r - 1, j - 1) * kappa[j - 1] * m[r - j] for j in range(1, r)
+        )
+        kappa.append(m[r] - lower)
+    return tuple(kappa)
+
+
+def expectation_of_expansion(a: ObservableExpansion, n: int, q0: Fraction) -> QRat:
+    """E under M_{n,q0} by linearity and the closed expectation formula,
+    every term evaluated at q0 before summing; the product-rule oracle
+    averages its products with it."""
+    total = Fraction(0)
+    for rho, c in a.terms.items():
+        total += c.eval_at(q0) * _expectation_sigma_at(rho, n, q0)
+    return QRat(total)
+
+
+@cache
+def _expectation_sigma_at(mu: Partition, n: int, q0: Fraction) -> Fraction:
+    return expectation_sigma(mu, n).eval_at(q0)
 
 
 def w_shape_at(k: int, n: int, q0: Fraction | float) -> tuple[float | None, float | None]:

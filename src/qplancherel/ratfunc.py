@@ -129,14 +129,6 @@ class QPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        quot, rem, scale = _int_divmod(self.ints, other.ints)
-        # scale * A = Q B + R for the integer parts A of self and B of other
-        den = scale * self.den
-        return _poly([c * other.den for c in quot], den), _poly(rem, den)
-
     def exact_div(self, other: "QPoly") -> "QPoly":
         """self / other, which must be a polynomial.
 
@@ -148,7 +140,7 @@ class QPoly:
             raise ZeroDivisionError("polynomial division by zero")
         g = math.gcd(*other.ints)
         prim = [c // g for c in other.ints] if g != 1 else other.ints
-        quot, _, _ = _int_divmod(self.ints, prim, exact=True)
+        quot, _ = _int_divmod(self.ints, prim, exact=True)
         return _poly([c * other.den for c in quot], g * self.den)
 
     def eval(self, x):
@@ -202,11 +194,11 @@ def _poly(ints: list[int], den: int = 1) -> QPoly:
 
 def _int_divmod(
     u: Sequence[int], v: Sequence[int], exact: bool = False
-) -> tuple[list[int], list[int], int]:
-    """Division of integer coefficient lists: (quot, rem, scale) with
-    scale u = quot v + rem and deg rem < deg v.
+) -> tuple[list[int], list[int]]:
+    """Division of integer coefficient lists: (quot, rem) with
+    c u = quot v + rem and deg rem < deg v.
 
-    scale is the product of the leading coefficients of v that failed to
+    c is the product of the leading coefficients of v that failed to
     divide a step's leading term; with exact, such a step or a nonzero
     remainder raises instead.
     """
@@ -214,7 +206,6 @@ def _int_divmod(
     lv = v[-1]
     r = list(u)
     quot = [0] * max(0, len(r) - dv)
-    scale = 1
     for shift in range(len(r) - 1 - dv, -1, -1):
         c = r[shift + dv]
         if not c:
@@ -225,7 +216,6 @@ def _int_divmod(
                 raise ValueError("inexact polynomial division")
             r = [lv * x for x in r]
             quot = [lv * x for x in quot]
-            scale *= lv
             f = c
         quot[shift] = f
         for i in range(dv):
@@ -235,7 +225,7 @@ def _int_divmod(
         r.pop()
     if exact and r:
         raise ValueError("inexact polynomial division")
-    return quot, r, scale
+    return quot, r
 
 
 ZERO_POLY = _poly([])

@@ -22,15 +22,14 @@ from qplancherel.asymptotics import (
     poly_class_function,
     q_char_cumulants_at,
     reduce_covariance_via_mobius,
-    third_cumulant_sigma,
     third_cumulant_z_at,
     w_shape_at,
 )
 from qplancherel.measure import expectation_sigma, measure_table
 from qplancherel.characters import sigma_eval
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
-from qplancherel.observables import ObservableExpansion
-from qplancherel.partitions import partitions_of
+from qplancherel.observables import ObservableExpansion, product_sigma
+from qplancherel.partitions import partitions_of, size
 from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qrat_sum
 from qplancherel.selftest import product_rule_cumulants
 
@@ -240,43 +239,54 @@ def test_double_application_reduces_double_sum():
 # ---------------------------------------------------------------------------
 # finite-n covariance and drift
 
-def brute_moment(exps, n):
-    """E[prod Sigma_mu] by full enumeration over partitions of n."""
-    table = measure_table(n)
-    terms = []
-    for lam, w in table.items():
-        val = 1
+def brute_moment(exps, n, q0):
+    """E[prod Sigma_mu] at q0 by full enumeration over partitions of n."""
+    total = Fraction(0)
+    for lam, w in measure_table(n, q0).items():
         for mu in exps:
-            val *= sigma_eval(mu, lam)
-        terms.append(w * val)
-    return qrat_sum(terms)
+            w *= sigma_eval(mu, lam)
+        total += w
+    return total
 
 
-@pytest.mark.parametrize("n", [4, 6])
+def brute_cov(mu, nu, n, q0):
+    return brute_moment([mu, nu], n, q0) - brute_moment([mu], n, q0) * brute_moment(
+        [nu], n, q0
+    )
+
+
+# n = 9 lies past the interpolation nodes: sizes m <= 4 for the covariance
+# of Sigma_(2), m <= 3 |mu| = 6 for its third cumulant
+@pytest.mark.parametrize("n", [4, 6, 9])
 def test_cov_z_finite_against_enumeration(n):
     mu, nu = (2,), (2,)
-    brute = brute_moment([mu, nu], n) - brute_moment([mu], n) * brute_moment([nu], n)
-    assert cov_z_finite(mu, nu, n) == brute * Fraction(1, n**3)
+    for q0 in (HALF, Fraction(2)):
+        assert cov_z_finite(mu, nu, n, q0) == brute_cov(mu, nu, n, q0) / n**3
 
 
 def test_cov_z_finite_mixed_sizes():
     n, mu, nu = 7, (3,), (2,)
-    brute = brute_moment([mu, nu], n) - brute_moment([mu], n) * brute_moment([nu], n)
-    assert cov_z_finite(mu, nu, n) == brute * Fraction(1, n**4)
+    assert cov_z_finite(mu, nu, n, HALF) == brute_cov(mu, nu, n, HALF) / n**4
 
 
-def test_cov_z_finite_guards():
-    with pytest.raises(ValueError):
-        cov_z_finite((6,), (5,), 12)
-    with pytest.raises(ValueError):
-        cov_z_finite((2,), (2,), 41)
+@pytest.mark.parametrize("q0", [HALF, Fraction(2)])
+@pytest.mark.parametrize("mu, nu", [((2,), (3,)), ((6,), (5,))])
+def test_cov_z_finite_matches_product_rule(mu, nu, q0):
+    # the moments extended in n from diagrams of at most |mu| + |nu| boxes
+    # against the product rule averaged at q0, as exact Fractions, up to
+    # |mu| + |nu| = 11 and n = 1000
+    for n in (12, 41, 1000):
+        mixed = expectation_of_expansion(product_sigma(mu, nu), n, q0).as_fraction()
+        means = expectation_sigma(mu, n) * expectation_sigma(nu, n)
+        want = (mixed - means.eval_at(q0)) / n ** (size(mu) + size(nu) - 1)
+        assert cov_z_finite(mu, nu, n, q0) == want
 
 
 @pytest.mark.parametrize("mu,nu", [((2,), (2,)), ((2,), (3,)), ((3,), (3,))])
 def test_drift_shrinks(mu, nu):
     lim = limit_cov_z(mu, nu).eval_at(HALF)
-    drift = [abs(cov_z_finite(mu, nu, n).eval_at(HALF) - lim) for n in (8, 16, 32)]
-    assert drift[0] > drift[1] > drift[2]
+    drift = [abs(cov_z_finite(mu, nu, n, HALF) - lim) for n in (8, 16, 32, 1000)]
+    assert drift[0] > drift[1] > drift[2] > drift[3]
 
 
 def test_expectation_of_expansion_linear():
@@ -285,7 +295,8 @@ def test_expectation_of_expansion_linear():
     )
     n = 6
     want = expectation_sigma((2,), n) * 3 + expectation_sigma((1, 1), n)
-    assert expectation_of_expansion(a, n) == want
+    for q0 in (HALF, Fraction(2)):
+        assert expectation_of_expansion(a, n, q0) == QRat(want.eval_at(q0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +304,19 @@ def test_expectation_of_expansion_linear():
 
 def test_third_cumulant_constant_observable():
     # Sigma_1 is deterministic (equal to n), so all higher cumulants vanish
-    assert third_cumulant_sigma((1,), 5).is_zero()
+    assert third_cumulant_z_at((1,), 5, HALF) == 0
 
 
-@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("n", [4, 6, 9])
 def test_third_cumulant_against_enumeration(n):
     mu = (2,)
-    m1 = brute_moment([mu], n)
-    m2 = brute_moment([mu, mu], n)
-    m3 = brute_moment([mu, mu, mu], n)
-    k3 = m3 - m2 * m1 * 3 + m1 * m1 * m1 * 2
-    assert third_cumulant_sigma(mu, n) == k3
+    for q0 in (HALF, Fraction(2)):
+        m1 = brute_moment([mu], n, q0)
+        m2 = brute_moment([mu, mu], n, q0)
+        m3 = brute_moment([mu, mu, mu], n, q0)
+        k3 = m3 - 3 * m2 * m1 + 2 * m1**3
+        want = float(k3) * n ** (1.5 - 3 * size(mu))
+        assert third_cumulant_z_at(mu, n, q0) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -373,9 +386,8 @@ def test_expectation_at_point_matches_symbolic():
     x = sigma_q_in_sigma((3,))
     a = x * x
     for n in (5, 40):
-        assert expectation_of_expansion(a, n, HALF) == QRat(
-            expectation_of_expansion(a, n).eval_at(HALF)
-        )
+        symbolic = qrat_sum(c * expectation_sigma(rho, n) for rho, c in a.terms.items())
+        assert expectation_of_expansion(a, n, HALF) == QRat(symbolic.eval_at(HALF))
 
 
 def test_shape_targets_out_of_reach():

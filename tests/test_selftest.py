@@ -56,6 +56,16 @@ def test_shape_targets_two_routes_catch_a_wrong_route(monkeypatch):
     assert "k=2" in result.detail
 
 
+def test_finite_n_drift_catches_a_route_that_returns_the_limit(monkeypatch):
+    def limit(mu, nu, n, q0):
+        return asymptotics.limit_cov_z(mu, nu).eval_at(q0)
+
+    monkeypatch.setattr(asymptotics, "cov_z_finite", limit)
+    result = selftest.check_finite_n_drift()
+    assert not result.passed
+    assert "mu=(2,) nu=(2,)" in result.detail
+
+
 def test_float_characters_two_routes_agree():
     assert selftest.check_float_characters_two_routes().passed
 
