@@ -4,14 +4,16 @@ A parser for the textual form of `str(QPoly)` and `str(QRat)`, so that
 an expected rational function can be written as it prints; polynomial
 arithmetic on plain lists of Fractions, the reference for the integer
 `QPoly`; the per-partition expectation sum; the conjugacy class sizes
-of the symmetric group; and a float Murnaghan-Nakayama evaluation of
-normalized characters in log space.
+of the symmetric group; a float Murnaghan-Nakayama evaluation of
+normalized characters in log space; and the RSK shape of a word by
+inserting its letters one at a time.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from fractions import Fraction
 
 from qplancherel.measure import measure_value
@@ -76,6 +78,22 @@ def char_normalized_float_mn(lam: Partition, mu: Partition) -> float:
 _TERM_RE = re.compile(
     r"^(?P<coeff>\d+(?:/\d+)?)?(?:\*)?(?P<q>q(?:\^(?P<exp>\d+))?)?$"
 )
+
+
+def rsk_shape_by_insertion(letters) -> Partition:
+    """Row-insert the letters in order (a letter bumps the first entry
+    greater than it) and return the shape of the insertion tableau."""
+    rows: list[list[int]] = []
+    for x in letters:
+        for row in rows:
+            pos = bisect_right(row, x)
+            if pos == len(row):
+                row.append(x)
+                break
+            row[pos], x = x, row[pos]
+        else:
+            rows.append([x])
+    return tuple(len(r) for r in rows)
 
 
 def parse_poly(text: str) -> QPoly:

@@ -13,7 +13,8 @@ from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.measure import (
     GrowthCoherencyError,
     _geometric_letters,
-    _rsk_shape,
+    _row_capacities,
+    _rsk_shapes,
     chunk_generator,
     expectation_brute,
     expectation_sigma,
@@ -37,7 +38,12 @@ from qplancherel.partitions import (
 )
 from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
 
-from oracles import char_normalized_float_mn, expectation_by_partition, parse_qrat
+from oracles import (
+    char_normalized_float_mn,
+    expectation_by_partition,
+    parse_qrat,
+    rsk_shape_by_insertion,
+)
 
 sigma = ObservableExpansion.sigma
 sample_exact = partial(sample_partitions, method="exact")
@@ -268,15 +274,59 @@ class TestRskSampler:
         mean_top = np.mean([lam[0] for lam in draws]) / 1000
         assert mean_top == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("m", [1, 7, 1024])
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 50, 200, 1000])
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.9, 0.99, 2.0])
+    def test_chunk_equals_insertion_oracle(self, q0, n, m):
+        low = min(q0, 1 / q0)
+        letters = _geometric_letters(chunk_generator(11, 0, 3), n, m, low)
+        expected = [rsk_shape_by_insertion(letters[i].tolist()) for i in range(m)]
+        if q0 > 1:
+            expected = [conjugate(lam) for lam in expected]
+        assert sample_rsk_chunk(n, q0, 11, 3, m) == expected
+
+    def test_adversarial_words(self):
+        n = 200
+        words = np.array(
+            [
+                [5] * n,  # constant: one row
+                range(n, 0, -1),  # strictly decreasing: one column, n rows
+                np.random.default_rng(1).permutation(n) + 1,  # all distinct
+                [1 + (7 * i) % 3 for i in range(n)],
+            ],
+            dtype=np.int64,
+        )
+        expected = [rsk_shape_by_insertion(w.tolist()) for w in words]
+        assert expected[0] == (n,) and expected[1] == (1,) * n
+        assert _rsk_shapes(words) == expected
+        assert [_rsk_shapes(words[i : i + 1])[0] for i in range(len(words))] == expected
+
+    @pytest.mark.parametrize("batch", [1, 7, 100])
+    def test_sub_batch_size_does_not_change_shapes(self, monkeypatch, batch):
+        n, q0, m = 200, 0.9, 100
+        letters = _geometric_letters(chunk_generator(5, 0, 0), n, m, q0)
+        expected = [rsk_shape_by_insertion(letters[i].tolist()) for i in range(m)]
+        per_word = int(_row_capacities(n, min(n, int(letters.max()))).sum())
+        monkeypatch.setattr(measure, "RSK_TABLE_SLOTS", batch * per_word)
+        sizes = []
+
+        def spy(words):
+            sizes.append(len(words))
+            return _rsk_shapes(words)
+
+        monkeypatch.setattr(measure, "_rsk_shapes", spy)
+        assert sample_rsk_chunk(n, q0, 5, 0, m) == expected
+        assert sizes == [min(batch, m - i) for i in range(0, m, batch)]
+
     @pytest.mark.parametrize("q0", [0.5, 2.0])
     def test_python_int_letters_draw_the_same_shapes(self, q0):
-        # the numpy int64 insertion loop the sampler used before, one chunk
+        # the insertion oracle on the chunk's numpy int64 letters
         def digest(shapes):
             return hashlib.sha256(repr(shapes).encode()).hexdigest()
 
         low = min(q0, 1 / q0)
         letters = _geometric_letters(chunk_generator(7, 0, 0), 1000, 300, low)
-        old = [_rsk_shape(letters[i]) for i in range(300)]
+        old = [rsk_shape_by_insertion(letters[i]) for i in range(300)]
         if q0 > 1:
             old = [conjugate(lam) for lam in old]
         assert digest(sample_rsk(1000, q0, 300, seed=7)) == digest(old)
