@@ -54,6 +54,13 @@ BOOTSTRAP_STREAM = 1
 GATE_STREAM = 2
 
 BOOTSTRAP_DEFAULT = 1000
+# resamples per count matrix in the bootstrap.  Each row is n floats of
+# transient memory in the process that holds the whole sample.  At the
+# desk scale (20,000 x 2, 1000 resamples, 2 cores) chunks of 4 took
+# 0.20 s and raised that process's peak RSS by 0.4 MB over one np.cov
+# per resample (1.13 s); chunks of 8 and 16 were no faster and raised it
+# by 1.7 and 3.1 MB, and chunks of 1 took 0.22 s
+BOOTSTRAP_CHUNK = 4
 GATE_P_MIN = 1e-3
 MIN_EXPECTED_PER_BIN = 5.0
 
@@ -252,6 +259,13 @@ def estimate_cumulants(
     and excess kurtosis are the standardized ratios.  Coordinates with
     zero sample variance are flagged degenerate and their standardized
     cumulants reported as 0.
+
+    `cov_ci` holds 95 percent percentile-bootstrap intervals (Efron 1979)
+    of every covariance entry over `bootstrap` resamples, drawn from the
+    master seed's bootstrap stream.  Each resample is counted, not
+    copied: its index counts fill one row of a BOOTSTRAP_CHUNK-row
+    matrix, and one product per chunk with the centred features gives
+    the resamples' covariances (`_bootstrap_covs`).
     """
     x = np.asarray(samples, dtype=float)
     if x.ndim == 1:
@@ -285,19 +299,14 @@ def estimate_cumulants(
 
     ci: list[tuple[int, int, float, float]] = []
     if bootstrap > 0 and not bool((~live).any()):
-        rng = chunk_generator(seed, BOOTSTRAP_STREAM, 0)
-        stats = np.empty((bootstrap, d * (d + 1) // 2))
-        for b in range(bootstrap):
-            idx = rng.integers(0, n, n)
-            cb = np.atleast_2d(np.cov(x[idx], rowvar=False, ddof=1))
-            stats[b] = [cb[i, j] for i in range(d) for j in range(i, d)]
+        stats = _bootstrap_covs(c, seed, bootstrap)
         lo = np.percentile(stats, 2.5, axis=0)
         hi = np.percentile(stats, 97.5, axis=0)
-        pos = 0
-        for i in range(d):
-            for j in range(i, d):
-                ci.append((i, j, float(lo[pos]), float(hi[pos])))
-                pos += 1
+        iu, ju = np.triu_indices(d)
+        ci = [
+            (int(i), int(j), float(a), float(b))
+            for i, j, a, b in zip(iu, ju, lo, hi)
+        ]
 
     return CumulantEstimate(
         count=n,
@@ -310,6 +319,32 @@ def estimate_cumulants(
         bootstrap_resamples=bootstrap,
         cov_ci=tuple(ci),
     )
+
+
+def _bootstrap_covs(c: np.ndarray, seed: int, resamples: int) -> np.ndarray:
+    """Covariance entries (i <= j, row-major) of each bootstrap resample
+    of the centred (n, d) sample c, one row per resample.
+
+    With S the product of a resample's counts with the features c_i and
+    c_i c_j, and m_i = S_i / n, its covariance is
+    (S_ij - n m_i m_j) / (n - 1).  The draws are those of one `np.cov`
+    per resample; the entries agree with it to about 1e-14 relative, not
+    bit for bit.
+    """
+    n, d = c.shape
+    iu, ju = np.triu_indices(d)
+    features = np.hstack([c, c[:, iu] * c[:, ju]])
+    counts = np.empty((BOOTSTRAP_CHUNK, n))
+    rng = chunk_generator(seed, BOOTSTRAP_STREAM, 0)
+    out = np.empty((resamples, len(iu)))
+    for start in range(0, resamples, BOOTSTRAP_CHUNK):
+        rows = min(BOOTSTRAP_CHUNK, resamples - start)
+        for r in range(rows):
+            counts[r] = np.bincount(rng.integers(0, n, n), minlength=n)
+        sums = counts[:rows] @ features
+        m = sums[:, :d] / n
+        out[start : start + rows] = (sums[:, d:] - n * m[:, iu] * m[:, ju]) / (n - 1)
+    return out
 
 
 # ---------------------------------------------------------------------------

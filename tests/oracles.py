@@ -5,8 +5,9 @@ an expected rational function can be written as it prints; polynomial
 arithmetic on plain lists of Fractions, the reference for the integer
 `QPoly`; the per-partition expectation sum; the conjugacy class sizes
 of the symmetric group; a float Murnaghan-Nakayama evaluation of
-normalized characters in log space; and the RSK shape of a word by
-inserting its letters one at a time.
+normalized characters in log space; the RSK shape of a word by
+inserting its letters one at a time; and the bootstrap covariances by
+one `np.cov` per resample.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ import re
 from bisect import bisect_right
 from fractions import Fraction
 
-from qplancherel.measure import measure_value
+import numpy as np
+
+from qplancherel.measure import chunk_generator, measure_value
+from qplancherel.montecarlo import BOOTSTRAP_STREAM
 from qplancherel.observables import ObservableExpansion, eval_expansion
 from qplancherel.partitions import Partition, beta_numbers, partitions_of, size, z_of
 from qplancherel.ratfunc import QPoly, QRat, qrat_sum
@@ -94,6 +98,21 @@ def rsk_shape_by_insertion(letters) -> Partition:
         else:
             rows.append([x])
     return tuple(len(r) for r in rows)
+
+
+def bootstrap_cov_by_resampling(x, seed: int, resamples: int) -> np.ndarray:
+    """Covariance entries (i <= j, row-major) of each bootstrap resample
+    of the (n, d) sample x: the indices are drawn with replacement from
+    the master seed's bootstrap stream and each resample goes through
+    `np.cov`."""
+    x = np.asarray(x, dtype=float)
+    n, d = x.shape
+    rng = chunk_generator(seed, BOOTSTRAP_STREAM, 0)
+    out = np.empty((resamples, d * (d + 1) // 2))
+    for b in range(resamples):
+        cb = np.atleast_2d(np.cov(x[rng.integers(0, n, n)], rowvar=False, ddof=1))
+        out[b] = [cb[i, j] for i in range(d) for j in range(i, d)]
+    return out
 
 
 def parse_poly(text: str) -> QPoly:

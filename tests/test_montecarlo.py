@@ -24,6 +24,8 @@ from qplancherel.montecarlo import (
 )
 from qplancherel.measure import stat_w
 
+from oracles import bootstrap_cov_by_resampling
+
 
 # ---------------------------------------------------------------------------
 # config validation
@@ -174,6 +176,29 @@ def test_bootstrap_deterministic_and_brackets_truth():
     lo, hi = by_pair[(0, 1)]
     assert lo < 0.3 < hi
     assert lo < a.cov[0][1] < hi
+
+
+@pytest.mark.parametrize("resamples", [1, 3, 4, 5, 200])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bootstrap_equals_resampling_oracle(d, resamples):
+    # resample counts that are and are not multiples of BOOTSTRAP_CHUNK
+    rng = np.random.default_rng(d)
+    corr = np.full((d, d), 0.4) + 0.6 * np.eye(d)
+    x = rng.multivariate_normal(np.arange(d) + 5.0, corr, size=500)
+    expected = bootstrap_cov_by_resampling(x, 13, resamples)
+    got = montecarlo._bootstrap_covs(x - x.mean(axis=0), 13, resamples)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+    est = estimate_cumulants(x, seed=13, bootstrap=resamples)
+    pairs = [(i, j) for i in range(d) for j in range(i, d)]
+    assert [(i, j) for i, j, _, _ in est.cov_ci] == pairs
+    for q, col in ((2.5, 2), (97.5, 3)):
+        np.testing.assert_allclose(
+            [entry[col] for entry in est.cov_ci],
+            np.percentile(expected, q, axis=0),
+            rtol=1e-12,
+            atol=0,
+        )
 
 
 def test_bootstrap_zero_disables_intervals():
