@@ -14,7 +14,12 @@ coherent one-box-at-a-time growth process.  The RSK sampler inserts each
 word's transpose, the positions of its letters read letter by letter,
 which has the same shape by Knuth's symmetry theorem for RSK on integer
 matrices; every letter's positions are one increasing run, and a whole
-chunk inserts its runs row by row in one batch of numpy operations.
+chunk inserts its runs row by row in one batch of numpy operations.  The
+growth sampler advances all chains of a chunk together, one box per
+step, with a few numpy passes per block of equal parts; its draws are
+those of one chain at a time, since every weight, running sum and
+comparison is the same IEEE operation on the same floats in the same
+order.
 Each sampler draws a single chunk of shapes from that chunk's own
 generator stream; `montecarlo.sample_partitions` is the one driver that
 fans the chunks out and merges them.  RSK and growth draw at q < 1 only,
@@ -28,7 +33,6 @@ step.  Numeric q is validated once, by `check_q`, where it enters.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
@@ -48,7 +52,6 @@ from qplancherel.partitions import (
     n_stat,
     partitions_of,
     size,
-    small_shape_cache,
 )
 from qplancherel.ratfunc import (
     ZERO_POLY,
@@ -338,63 +341,120 @@ def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
     }
 
 
-def _transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
-    """q^i prod {h}_q / {h+1}_q per cover, lam + a box in row i (from 0).
+def _growth_weights(
+    rows: np.ndarray, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Covers and transition weights of a batch of shapes, one per row.
 
-    The product runs over the hooks h of lam that the box lengthens: those
-    in row i left of it and in its column above it.  Across a block of
-    equal rows or equal columns they are consecutive, so each block
-    telescopes to one factor (1 - q^h_min) / (1 - q^(h_max + 1)).
+    `rows` holds each shape's row lengths, zero-padded, and ends in an
+    all-zero column; powers[k] = q ** k for k up to the largest size
+    plus 3.  Returns the (m, C) block tops (the first row of each block
+    of equal parts, then the empty row: the rows the covers add to, in
+    `covers_of` order), their counts, and the (m, C) weights, zero past
+    each count.
+
+    The weight of lam + a box in row i is q^i prod {h}_q / {h+1}_q over
+    the hooks h of lam that the box lengthens: those in row i left of it
+    and in its column above it.  Across a block u of equal rows or equal
+    columns they are consecutive, so the block telescopes to one factor
+    (1 - q^h_min) / (1 - q^(h_max + 1)): a column factor when u < t, a
+    row factor when t <= u, for the cover t.  Each weight multiplies its
+    factors in order of u, as one column block per u across the batch,
+    so every weight is the product of the same floats in the same order
+    as in the shape-by-shape loop.
     """
-    # first row of each block of equal parts, then the empty row; covers_of order
-    tops = [r for r in range(len(lam)) if r == 0 or lam[r - 1] > lam[r]] + [len(lam)]
-    parts = [lam[r] for r in tops[:-1]] + [0]
-    out = []
-    for t, (i, a) in enumerate(zip(tops, parts)):
-        w = q0**i
-        for u in range(t):  # column a, rows tops[u] .. tops[u + 1] - 1
-            d = parts[u] - a + i
-            w *= (1.0 - q0 ** (d - tops[u + 1])) / (1.0 - q0 ** (d - tops[u]))
-        for u in range(t, len(parts) - 1):  # row i, columns parts[u + 1] .. parts[u] - 1
-            e = tops[u + 1] - i + a
-            w *= (1.0 - q0 ** (e - parts[u])) / (1.0 - q0 ** (e - parts[u + 1]))
-        out.append(w)
-    return tuple(out)
+    m, width = rows.shape
+    is_top = np.empty((m, width), dtype=bool)
+    is_top[:, 0] = True
+    np.greater(rows[:, :-1], rows[:, 1:], out=is_top[:, 1:])
+    count = np.count_nonzero(is_top, axis=1)
+    c = int(count.max())
+    chain, row = np.nonzero(is_top)
+    slot = np.arange(chain.size) - np.repeat(np.cumsum(count) - count, count)
+    tops = np.zeros((m, c), dtype=np.intp)
+    tops[chain, slot] = row
+    # the last top is the empty row, so depth = rows of the shape + 1
+    depth = row[np.cumsum(count) - 1, None] + 1
+    lead = np.repeat(-depth, c, axis=1)  # a_t - i_t; -depth past the count
+    lead[chain, slot] = rows[chain, row] - row
+    parts = lead + tops
+    w = np.where(np.arange(c) < count[:, None], powers[tops], 0.0)
+    drops = 1.0 - powers
+    # Block u is live in a chain with more than u + 1 covers.  Elsewhere
+    # the exponents below are kept in 1 .. lam_1 + depth + 1 <= size + 3,
+    # never at drops[0] = 0 nor negative (numpy would wrap them): a dead
+    # row factor is drops[x] / drops[x] = 1 exactly, and a padded weight
+    # stays 0.
+    for u in range(c - 1):
+        i, i1 = tops[:, u, None], tops[:, u + 1, None]
+        a, a1 = parts[:, u, None], parts[:, u + 1, None]
+        live = count[:, None] > u + 1
+        head = lead[:, : u + 1]  # covers t <= u: row i_t, columns a_(u+1) .. a_u - 1
+        x = head + np.where(live, i1 - a, depth + 1)
+        y = head + np.where(live, i1 - a1, depth + 1)
+        w[:, : u + 1] *= drops[x] / drops[y]
+        tail = lead[:, u + 1 :]  # covers t > u: column a_t, rows i_u .. i_(u+1) - 1
+        x = np.where(live, a - i1, 0) - tail
+        y = np.where(live, a - i, 0) - tail
+        w[:, u + 1 :] *= drops[x] / drops[y]
+    return tops, count, w
 
 
-@small_shape_cache
-def growth_transitions(
-    lam: Partition, q0: float
-) -> tuple[tuple[Partition, ...], tuple[float, ...]]:
-    """The covers of lam and their numeric transition probabilities."""
-    probs = _transition_weights(lam, q0)
-    total = math.fsum(probs)
-    if abs(total - 1.0) > 1e-12:
-        raise GrowthCoherencyError(
-            f"transition probabilities out of {lam} at q = {q0} "
-            f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
-        )
-    return covers_of(lam), probs
+def _check_coherency(rows: np.ndarray, w: np.ndarray, sums: np.ndarray, q0: float) -> None:
+    """Raise GrowthCoherencyError for the first chain whose weights do
+    not sum to 1 within 1e-12 under math.fsum.
+
+    `sums` are the left-to-right float sums of the C columns of w.  Where
+    |sums - 1| <= 1e-12 - C 2^-52 the exact total S is below 2, so the
+    sum lies within (C - 1) 2^-53 S (1 + O(C 2^-53)) < (2C - 1) 2^-53 of S
+    and the fsum within 2^-53 of it: fsum passes too.  Only the chains
+    outside that screen are summed again with fsum, which decides.
+    """
+    margin = w.shape[1] * 2.0**-52
+    for s in np.flatnonzero(np.abs(sums - 1.0) > 1e-12 - margin).tolist():
+        total = math.fsum(w[s].tolist())
+        if abs(total - 1.0) > 1e-12:
+            lam = tuple(x for x in rows[s].tolist() if x)
+            raise GrowthCoherencyError(
+                f"transition probabilities out of {lam} at q = {q0} "
+                f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
+            )
 
 
 def sample_growth_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
-    """n steps of the coherent growth process from the empty diagram."""
+    """n steps of the coherent growth process from the empty diagram.
+
+    The m chains of the chunk grow together, one box per step, from the
+    chunk's (m, n) uniforms: each chain's cover weights
+    (`_growth_weights`), their running sums and the bisect of the step's
+    uniform are computed by the same IEEE operations in the same order as
+    one chain at a time, so the drawn shapes are the same.  Every step
+    checks that each chain's weights sum to 1 within 1e-12.
+    """
     if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
         dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
         return [conjugate(lam) for lam in dual]
     rng = chunk_generator(seed, 0, chunk_index)
     us = rng.random((m, n))
-    out = []
-    for s in range(m):
-        lam: Partition = ()
-        for u in us[s].tolist():
-            bigs, probs = growth_transitions(lam, q0)
-            idx = bisect_right(list(accumulate(probs)), u)
-            lam = bigs[min(idx, len(bigs) - 1)]
-        out.append(lam)
-    return out
+    # shapes of at most n - 1 boxes read powers up to q ** (n + 2)
+    powers = np.array([q0**k for k in range(n + 3)])
+    rows = np.zeros((m, n + 1), dtype=np.intp)
+    chains = np.arange(m)
+    width = 1  # the longest shape's rows, then one all-zero column
+    for u in us.T:
+        tops, count, w = _growth_weights(rows[:, :width], powers)
+        cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
+        _check_coherency(rows[:, :width], w, cum[:, -1], q0)
+        # bisect_right: covers whose running sum is <= u, clamped to the last
+        pick = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), count - 1)
+        grown = tops[chains, pick]
+        rows[chains, grown] += 1
+        width = max(width, int(grown.max()) + 2)
+    lengths = rows[:, : width - 1]
+    sizes = np.count_nonzero(lengths, axis=1).tolist()
+    return [tuple(row[:k]) for row, k in zip(lengths.tolist(), sizes)]
 
 
 SAMPLER_CHUNK_FNS = {

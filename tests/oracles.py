@@ -6,8 +6,9 @@ arithmetic on plain lists of Fractions, the reference for the integer
 `QPoly`; the per-partition expectation sum; the conjugacy class sizes
 of the symmetric group; a float Murnaghan-Nakayama evaluation of
 normalized characters in log space; the RSK shape of a word by
-inserting its letters one at a time; and the bootstrap covariances by
-one `np.cov` per resample.
+inserting its letters one at a time; the coherent growth process one
+shape and one box at a time; and the bootstrap covariances by one
+`np.cov` per resample.
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
-from qplancherel.measure import chunk_generator, measure_value
+from qplancherel.measure import GrowthCoherencyError, chunk_generator, measure_value
 from qplancherel.montecarlo import BOOTSTRAP_STREAM
 from qplancherel.observables import ObservableExpansion, eval_expansion
-from qplancherel.partitions import Partition, beta_numbers, partitions_of, size, z_of
+from qplancherel.partitions import (
+    Partition,
+    beta_numbers,
+    covers_of,
+    partitions_of,
+    size,
+    small_shape_cache,
+    z_of,
+)
 from qplancherel.ratfunc import QPoly, QRat, qrat_sum
 
 
@@ -98,6 +108,57 @@ def rsk_shape_by_insertion(letters) -> Partition:
         else:
             rows.append([x])
     return tuple(len(r) for r in rows)
+
+
+def transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
+    """q^i prod {h}_q / {h+1}_q per cover, lam + a box in row i (from 0).
+
+    The product runs over the hooks h of lam that the box lengthens: those
+    in row i left of it and in its column above it.  Across a block of
+    equal rows or equal columns they are consecutive, so each block
+    telescopes to one factor (1 - q^h_min) / (1 - q^(h_max + 1)).
+    """
+    # first row of each block of equal parts, then the empty row; covers_of order
+    tops = [r for r in range(len(lam)) if r == 0 or lam[r - 1] > lam[r]] + [len(lam)]
+    parts = [lam[r] for r in tops[:-1]] + [0]
+    out = []
+    for t, (i, a) in enumerate(zip(tops, parts)):
+        w = q0**i
+        for u in range(t):  # column a, rows tops[u] .. tops[u + 1] - 1
+            d = parts[u] - a + i
+            w *= (1.0 - q0 ** (d - tops[u + 1])) / (1.0 - q0 ** (d - tops[u]))
+        for u in range(t, len(parts) - 1):  # row i, columns parts[u + 1] .. parts[u] - 1
+            e = tops[u + 1] - i + a
+            w *= (1.0 - q0 ** (e - parts[u])) / (1.0 - q0 ** (e - parts[u + 1]))
+        out.append(w)
+    return tuple(out)
+
+
+@small_shape_cache
+def growth_transitions(
+    lam: Partition, q0: float
+) -> tuple[tuple[Partition, ...], tuple[float, ...]]:
+    """The covers of lam and their numeric transition probabilities."""
+    probs = transition_weights(lam, q0)
+    total = math.fsum(probs)
+    if abs(total - 1.0) > 1e-12:
+        raise GrowthCoherencyError(
+            f"transition probabilities out of {lam} at q = {q0} "
+            f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
+        )
+    return covers_of(lam), probs
+
+
+def growth_shape_by_steps(us, q0: float) -> Partition:
+    """The coherent growth process at 0 < q0 < 1 from the empty diagram,
+    one box per uniform of `us`: the cover whose running probability sum
+    first exceeds the uniform, or the last cover."""
+    lam: Partition = ()
+    for u in us:
+        bigs, probs = growth_transitions(lam, q0)
+        idx = bisect_right(list(accumulate(probs)), u)
+        lam = bigs[min(idx, len(bigs) - 1)]
+    return lam
 
 
 def bootstrap_cov_by_resampling(x, seed: int, resamples: int) -> np.ndarray:

@@ -19,20 +19,21 @@ from qplancherel.measure import (
     expectation_brute,
     expectation_sigma,
     expectation_sigma_q,
-    growth_transitions,
     growth_transitions_symbolic,
     measure_probabilities,
     measure_table,
     measure_value,
+    sample_growth_chunk,
     sample_rsk_chunk,
     stat_w,
 )
 from qplancherel.montecarlo import sample_partitions
 from qplancherel.observables import ObservableExpansion
 from qplancherel.partitions import (
-    MEMO_MAX_SIZE,
+    added_row,
     check_partition,
     conjugate,
+    covers_of,
     partitions_of,
     size,
 )
@@ -41,8 +42,11 @@ from qplancherel.ratfunc import ONE, QPoly, QRat, ZERO, qint
 from oracles import (
     char_normalized_float_mn,
     expectation_by_partition,
+    growth_shape_by_steps,
+    growth_transitions,
     parse_qrat,
     rsk_shape_by_insertion,
+    transition_weights,
 )
 
 sigma = ObservableExpansion.sigma
@@ -404,23 +408,66 @@ class TestGrowthSampler:
                 for big, p in zip(bigs, probs):
                     assert abs(p - float(exact[big].eval_at(Fraction(q0)))) <= 1e-13
 
-    def test_coherency_violation_aborts(self, monkeypatch):
-        import qplancherel.measure as measure_mod
+    @pytest.mark.parametrize("m", [1, 7, 300])
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 50, 200])
+    @pytest.mark.parametrize("q0", [0.05, 0.3, 0.5, 0.9, 0.99, 1.01, 2.0, 20.0])
+    def test_chunk_equals_step_oracle(self, q0, n, m):
+        # the batched chains against one chain at a time, on the same uniforms
+        us = chunk_generator(4, 0, 0).random((m, n))
+        step_q = q0 if q0 < 1 else 1 / q0
+        expected = [growth_shape_by_steps(row, step_q) for row in us.tolist()]
+        if q0 > 1:
+            expected = [conjugate(lam) for lam in expected]
+        assert sample_growth_chunk(n, q0, 4, 0, m) == expected
 
-        weights = measure_mod._transition_weights
-        monkeypatch.setattr(
-            measure_mod,
-            "_transition_weights",
-            lambda lam, q0: tuple(1.1 * p for p in weights(lam, q0)),
-        )
-        # above the memo size, so no earlier call can have cached the table
+    @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95])
+    def test_batched_weights_are_the_step_weights_bitwise(self, q0):
+        # every shape of at most 10 boxes in one batch: the same floats,
+        # not only the same draws
+        shapes = [lam for n in range(11) for lam in partitions_of(n)]
+        rows = np.zeros((len(shapes), 11), dtype=np.intp)
+        for s, lam in enumerate(shapes):
+            rows[s, : len(lam)] = lam
+        powers = np.array([q0**k for k in range(10 + 4)])  # up to size + 3
+        tops, count, w = measure._growth_weights(rows, powers)
+        for s, lam in enumerate(shapes):
+            k = count[s]
+            assert w[s, :k].tolist() == list(transition_weights(lam, q0)), lam
+            assert not w[s, k:].any(), lam
+            added = [added_row(lam, big) - 1 for big in covers_of(lam)]
+            assert tops[s, :k].tolist() == added, lam
+
+    def test_coherency_violation_aborts(self, monkeypatch):
+        weights = measure._growth_weights
+
+        def inflated(rows, powers):
+            tops, count, w = weights(rows, powers)
+            return tops, count, 1.1 * w
+
+        monkeypatch.setattr(measure, "_growth_weights", inflated)
         with pytest.raises(GrowthCoherencyError, match="sum to"):
-            growth_transitions((MEMO_MAX_SIZE, 1), 0.5)
+            sample_growth_chunk(5, 0.5, 1, 0, 7)
+
+    def test_coherency_screen_defers_to_fsum(self):
+        # rows whose left-to-right sum and fsum fall on either side of the
+        # 1e-12 bound: fsum decides, as it does one chain at a time
+        ulp = 2.0**-52
+        passes = [1 + 4502 * ulp, (0.5 + 2**-8) * ulp, (0.5 + 2**-8) * ulp]
+        fails = [1 + 4503 * ulp, ulp / 4, ulp / 4, ulp / 4]
+        w = np.zeros((2, 4))
+        w[0, :3], w[1] = passes, fails
+        sums = np.cumsum(w, axis=1)[:, -1]
+        assert abs(sums[0] - 1) > 1e-12 and abs(math.fsum(passes) - 1) <= 1e-12
+        assert abs(sums[1] - 1) <= 1e-12 and abs(math.fsum(fails) - 1) > 1e-12
+        rows = np.zeros((2, 1), dtype=np.intp)
+        measure._check_coherency(rows[:1], w[:1], sums[:1], 0.5)
+        with pytest.raises(GrowthCoherencyError, match="sum to"):
+            measure._check_coherency(rows, w, sums, 0.5)
 
     @pytest.mark.parametrize("q0", [0.5, 0.9, 2.0])
     def test_coherent_at_n_1000(self, q0):
         # the 1e-12 transition-sum check holds along every step to n = 1000
-        for lam in sample_growth(1000, q0, 4, seed=5):
+        for lam in sample_growth(1000, q0, 64, seed=5):
             assert check_partition(lam) == lam and size(lam) == 1000
 
     def test_deterministic(self):
