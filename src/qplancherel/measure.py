@@ -14,12 +14,15 @@ coherent one-box-at-a-time growth process.  The RSK sampler inserts each
 word's transpose, the positions of its letters read letter by letter,
 which has the same shape by Knuth's symmetry theorem for RSK on integer
 matrices; every letter's positions are one increasing run, and a whole
-chunk inserts its runs row by row in one batch of numpy operations.  The
-growth sampler advances all chains of a chunk together, one box per
-step, with a few numpy passes per block of equal parts; its draws are
-those of one chain at a time, since every weight, running sum and
-comparison is the same IEEE operation on the same floats in the same
-order.
+sub-batch of words inserts its runs row by row in one batch of numpy
+operations on one sorted table of keys ((row, word) << B) | position,
+B = n.bit_length(), held in int32 whenever they fit.  Row r of a word
+gets min(n // (r + 1), N_r) slots, N_r its letters of rank >= r among
+its distinct letters.  The growth sampler advances all chains of a
+chunk together, one box per step, with a few numpy passes per block of
+equal parts; its draws are those of one chain at a time, since every
+weight, running sum and comparison is the same IEEE operation on the
+same floats in the same order.
 Each sampler draws a single chunk of shapes from that chunk's own
 generator stream; `montecarlo.sample_partitions` is the one driver that
 fans the chunks out and merges them.  RSK and growth draw at q < 1 only,
@@ -66,11 +69,14 @@ from qplancherel.ratfunc import (
 EXACT_SAMPLER_MAX_N = 40
 BRUTE_EXPECTATION_MAX_N = 30
 SAMPLE_CHUNK = 1024  # worker-count invariance: streams are chunk-indexed
-# Table slots of one batched RSK sub-batch: int64 keys, 2 MB.  Medians of
-# five 1024-shape chunks at n = 1000 (2-vCPU VM) for 2^16 / 2^18 / 2^21
-# slots: 0.219 / 0.208 / 0.259 s at q = 1/2, 2.46 / 1.91 / 2.92 s at
-# q = 0.99.  A larger table's searches miss the cache; a smaller one pays
-# each step's fixed numpy cost over more sub-batches.
+# Slots of one batched RSK sub-batch, n // (r + 1) for each row r a draw
+# at q can fill; its table holds fewer, min(n // (r + 1), N_r) a word, in
+# int32 (about 0.45 MB at n = 1000, q = 1/2).  Medians of five fresh
+# processes, each the median of five (q = 1/2) or two (q = 0.99)
+# 1024-shape chunks at n = 1000 (2-vCPU VM), for 2^16 / 2^17 / 2^18 /
+# 2^19 slots: 144 / 128 / 128 / 147 ms at q = 1/2, 1.89 / 1.53 / 1.39 /
+# 1.41 s at q = 0.99.  A larger table costs each search more levels; a
+# smaller one pays each step's fixed numpy cost over more sub-batches.
 RSK_TABLE_SLOTS = 1 << 18
 
 
@@ -232,6 +238,51 @@ def _row_capacities(n: int, rows: int) -> np.ndarray:
     return n // np.arange(1, rows + 1)
 
 
+def _ranked_positions(letters: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The transposes of the rows of a (b, n) array of nonnegative
+    letters, as int64 keys.
+
+    Returns the keys (s << bits) | x of every position x of word s,
+    ordered by the rank of its letter among the word's distinct letters,
+    then by s and x, and the (b, runs) counts of each word's letters of
+    each rank.  A narrow alphabet (2 width <= n) is ranked by counting
+    each word's letters, O(width + n) a word; a wide one by sorting each
+    word's keys (letter << bits) | x, O(n log n) a word whatever the
+    width.  Letters too large for that shift, which only a q within
+    37 * 2^(bits - 63) of 1 draws, are first replaced by their rank over
+    the whole array.
+    """
+    b, n = letters.shape
+    width = int(letters.max()) + 1
+    small = np.min_scalar_type(n)  # ranks < n: radix-sortable
+    if 2 * width <= n:
+        cell = letters + np.arange(0, b * width, width)[:, None]
+        per_letter = np.bincount(cell.ravel(), minlength=b * width).reshape(b, width)
+        seen = per_letter > 0
+        distinct = np.cumsum(seen, axis=1, dtype=small)
+        flat = np.argsort(distinct.ravel()[cell.ravel()], kind="stable")
+        counts = np.zeros((b, int(distinct[:, -1].max())), dtype=np.intp)
+        s, v = np.nonzero(seen)
+        counts[s, distinct[s, v] - 1] = per_letter[s, v]
+        # s n + x to (s << bits) | x
+        return flat + (flat // n) * ((1 << bits) - n), counts
+    if width >> (63 - bits):  # (letter << bits) would overflow: rank them first
+        letters = np.unique(letters, return_inverse=True)[1].reshape(b, n)
+    keys = letters << bits
+    keys |= np.arange(n)
+    keys.sort(axis=1)  # by letter, then by position
+    letter = keys >> bits
+    ranks = np.zeros((b, n), dtype=small)
+    np.cumsum(letter[:, 1:] != letter[:, :-1], axis=1, out=ranks[:, 1:])
+    runs = int(ranks[:, -1].max()) + 1
+    keys &= (1 << bits) - 1
+    keys |= np.arange(0, b << bits, 1 << bits)[:, None]
+    keys = keys.ravel()[np.argsort(ranks.ravel(), kind="stable")]
+    ranks = ranks + np.arange(0, b * runs, runs)[:, None]
+    counts = np.bincount(ranks.ravel(), minlength=b * runs).reshape(b, runs)
+    return keys, counts
+
+
 def _rsk_shapes(letters: np.ndarray) -> list[Partition]:
     """RSK shapes of the rows of a (b, n) letter array, all in one table.
 
@@ -249,39 +300,58 @@ def _rsk_shapes(letters: np.ndarray) -> list[Partition]:
     t + r, and one step serves every (row, word) pair at once: one search
     of the table, a running maximum, one gather and one scatter.
 
-    The table is one sorted int64 array of keys (r * b + s) * (n + 1) + x
-    for position x in row r of word s; a free slot holds x = n.  Letters
-    are first replaced by their rank among the word's distinct letters,
-    which bounds both the runs and the rows by that count.
+    Letters are first replaced by their rank among the word's distinct
+    letters; with `runs` the most distinct letters of any word, that
+    bounds both the runs and the rows.  The table is one sorted array of
+    keys ((r b + s) << B) | x for position x in row r of word s, with
+    B = n.bit_length(); a free slot holds x = 2^B - 1, which no position
+    reaches.  No key passes runs b 2^B - 1, so the keys are int32 when
+    runs b 2^B <= 2^31, and int64 otherwise.
+
+    Row r of word s gets min(n // (r + 1), N_r(s)) slots, N_r(s) the
+    count of the word's letters of rank >= r.  Its first r + 1 rows are
+    each at least as long as row r, so row r holds at most n / (r + 1)
+    boxes.  And the columns of the insertion tableau P(w) strictly
+    increase, so rows r and below of P(w) hold only letters of rank >= r,
+    at most N_r(s) boxes.  The bounds hold at every step, not only at
+    the end: the table holds P of a prefix of w', which is P' of the
+    subword of w of its letters of the first ranks, and the shape of
+    that subword's P lies inside the shape of P(w), that of w'.
     """
     b, n = letters.shape
-    seen = np.zeros((b, int(letters.max()) + 1), dtype=bool)
-    seen[np.arange(b)[:, None], letters] = True
-    distinct = np.cumsum(seen, axis=1, dtype=np.min_scalar_type(n))
-    ranks = np.take_along_axis(distinct, letters, axis=1).ravel() - 1
-    runs = int(distinct[:, -1].max())
-    # w' of every word, run by run; small unsigned ranks sort by radix
-    flat = np.argsort(ranks, kind="stable")
-    word = flat + flat // n  # s * (n + 1) + x from s * n + x
-    bounds = [0, *np.cumsum(np.bincount(ranks, minlength=runs)).tolist()]
+    bits = n.bit_length()
+    keys, counts = _ranked_positions(letters, bits)
+    runs = counts.shape[1]
+    dtype = np.int32 if runs * b * 2**bits <= 2**31 else np.int64
+    word = keys.astype(dtype, copy=False)
+    bounds = [0, *np.cumsum(counts.sum(axis=0)).tolist()]
 
-    caps = np.repeat(_row_capacities(n, runs), b)
-    free = np.arange(runs * b) * (n + 1) + n
+    # N_r(s) = n minus the letters of rank < r
+    above = n - np.cumsum(counts, axis=1) + counts
+    caps = np.minimum(_row_capacities(n, runs)[:, None], above.T).ravel()
+    mask = (1 << bits) - 1
+    free = np.arange(runs * b, dtype=dtype) << bits
+    free |= mask
     table = np.repeat(free, caps)
-    shift = b * (n + 1)  # a key of row r to the same word's key in row r + 1
+    shift = b << bits  # a key of row r to the same word's key in row r + 1
+    # each of the b n positions is in the table or incoming, never both
+    ramp = np.arange(b * n)
     incoming = word[:0]
     t = 0
     while t < runs or incoming.size:
         if t < runs:
             incoming = np.concatenate((word[bounds[t] : bounds[t + 1]], incoming))
         slot = np.searchsorted(table, incoming)
-        i = np.arange(incoming.size)
+        i = ramp[: incoming.size]
         # one running maximum serves every (row, word) segment of the
         # table: a segment's slots lie above those of all segments before it
-        slot = np.maximum.accumulate(slot - i) + i
+        slot -= i
+        np.maximum.accumulate(slot, out=slot)
+        slot += i
         out = table[slot]
         table[slot] = incoming
-        incoming = out[out % (n + 1) != n] + shift
+        incoming = out[out & mask != mask]
+        incoming += shift
         t += 1
 
     lengths = np.searchsorted(table, free) - (np.cumsum(caps) - caps)
@@ -300,7 +370,14 @@ def _geometric_letters(rng: np.random.Generator, n: int, m: int, q0: float) -> n
     at q = 0.99).  So the alphabet stays bounded and no letter is lost.
     """
     us = rng.random((m, n))
-    return np.floor(np.log1p(-us) / math.log(q0)).astype(np.int64) + 1
+    # the IEEE operations of floor(log1p(-u) / ln q), each in place
+    np.negative(us, out=us)
+    np.log1p(us, out=us)
+    us /= math.log(q0)
+    np.floor(us, out=us)
+    letters = us.astype(np.int64)
+    letters += 1
+    return letters
 
 
 def sample_rsk_chunk(
@@ -310,19 +387,26 @@ def sample_rsk_chunk(
 
     The shapes come out of one batched insertion of each word's transpose
     (`_rsk_shapes`), which has the same shape by Knuth's symmetry theorem,
-    in sub-batches of at most RSK_TABLE_SLOTS table slots.
+    in sub-batches of at most RSK_TABLE_SLOTS slots of n // (r + 1) per
+    row r.  Each sub-batch draws its own rows of letters, in order, so the
+    letters are those of one (m, n) draw.
     """
     if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
         dual = sample_rsk_chunk(n, 1 / q0, seed, chunk_index, m)
         return [conjugate(lam) for lam in dual]
-    rng = chunk_generator(seed, 0, chunk_index)
-    letters = _geometric_letters(rng, n, m, q0)
-    if not letters.size:
+    if n == 0:
         return [()] * m
-    # a shape has at most min(n, largest letter) rows
-    per_word = int(_row_capacities(n, min(n, int(letters.max()))).sum())
+    rng = chunk_generator(seed, 0, chunk_index)
+    # a shape has at most min(n, largest letter) rows, and no letter
+    # passes 1 + floor(53 ln 2 / -ln q) (`_geometric_letters`)
+    top = 1 + math.floor(math.log(2.0**-53) / math.log(q0))
+    per_word = int(_row_capacities(n, min(n, top)).sum())
     batch = max(1, RSK_TABLE_SLOTS // per_word)
-    return [lam for i in range(0, m, batch) for lam in _rsk_shapes(letters[i : i + batch])]
+    return [
+        lam
+        for i in range(0, m, batch)
+        for lam in _rsk_shapes(_geometric_letters(rng, n, min(batch, m - i), q0))
+    ]
 
 
 class GrowthCoherencyError(RuntimeError):

@@ -152,7 +152,9 @@ def sample_partitions(
         done = [_chunk_task(t) for t in tasks]
     else:
         with Pool(min(workers, len(tasks))) as pool:
-            done = pool.map(_chunk_task, tasks)
+            # one chunk per dispatch: map's default batches tasks, which
+            # leaves one worker idle while the other draws a last batch
+            done = pool.map(_chunk_task, tasks, chunksize=1)
     done.sort(key=lambda pair: pair[0])
     out: list[Partition] = []
     for _, chunk in done:

@@ -305,12 +305,71 @@ class TestRskSampler:
         assert _rsk_shapes(words) == expected
         assert [_rsk_shapes(words[i : i + 1])[0] for i in range(len(words))] == expected
 
+    @pytest.mark.parametrize("words", [16, 17])
+    def test_both_key_dtypes(self, words):
+        # the keys are int32 while runs * b * 2^B <= 2^31, the largest key
+        # being runs * b * 2^B - 1.  The cheapest words to pass the bound
+        # pair one strictly increasing word (runs = n, so n steps) with
+        # constant ones (n slots each): at n = 2^13, B = 14, 16 words put
+        # the largest key at 2^31 - 1 and 17 words past it
+        n = 1 << 13
+        letters = np.full((words, n), 7, dtype=np.int64)
+        letters[words // 2] = np.arange(1, n + 1)
+        runs, bits = n, n.bit_length()
+        assert (runs * words * 2**bits <= 2**31) == (words == 16)
+        expected = [rsk_shape_by_insertion(w.tolist()) for w in letters]
+        assert expected[words // 2] == (n,) and expected[0] == (n,)
+        assert _rsk_shapes(letters) == expected
+
+    @staticmethod
+    def capacity_words(n):
+        """Words that reach the row capacities min(n // (r + 1), N_r),
+        N_r the word's letters of rank >= r."""
+        k, c = 5, n // 10
+        return {
+            "increasing": np.arange(1, n + 1),  # one row of n
+            "decreasing": np.arange(n, 0, -1),  # row n - 1 holds 1 = n // n
+            "constant": np.full(n, 4),  # one row of N_0 = n
+            # blocks of c letters k, k - 1, ..., 2, then n - (k - 1) c ones:
+            # row k - 1 holds the c letters k, exactly N_(k-1) < n // k
+            "staircase": np.repeat(
+                np.arange(k, 0, -1), [c] * (k - 1) + [n - (k - 1) * c]
+            ),
+        }
+
+    @pytest.mark.parametrize("kind", ["increasing", "decreasing", "constant", "staircase"])
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 200])
+    def test_words_at_their_row_capacities(self, kind, n):
+        word = self.capacity_words(n)[kind]
+        expected = rsk_shape_by_insertion(word.tolist())
+        # the same ranks through both ranking routes and the overflow guard:
+        # a narrow alphabet is counted, a wide one sorted, and letters past
+        # 2^(63 - B) are ranked before they are shifted into keys
+        for letters in (word, word + 10 * n, word * 2**52):
+            assert _rsk_shapes(letters[None, :]) == [expected], letters.max()
+
+    @pytest.mark.parametrize("n", [8, 200])
+    def test_wide_word_among_narrow_ones(self, n):
+        # the batch's runs come from the one word with n distinct letters;
+        # the narrow words get no slots past their own few ranks
+        rng = np.random.default_rng(n)
+        words = rng.integers(1, 3, size=(9, n))
+        words[4] = rng.permutation(n) + 1
+        words[7] = self.capacity_words(n)["staircase"]
+        expected = [rsk_shape_by_insertion(w.tolist()) for w in words]
+        assert len(expected[4]) > 2
+        assert _rsk_shapes(words) == expected
+        assert _rsk_shapes(np.delete(words, 4, axis=0)) == expected[:4] + expected[5:]
+
     @pytest.mark.parametrize("batch", [1, 7, 100])
     def test_sub_batch_size_does_not_change_shapes(self, monkeypatch, batch):
         n, q0, m = 200, 0.9, 100
         letters = _geometric_letters(chunk_generator(5, 0, 0), n, m, q0)
         expected = [rsk_shape_by_insertion(letters[i].tolist()) for i in range(m)]
-        per_word = int(_row_capacities(n, min(n, int(letters.max()))).sum())
+        # sub-batches are sized before their letters are drawn, by the
+        # largest letter any draw at q0 can give
+        top = 1 + math.floor(math.log(2.0**-53) / math.log(q0))
+        per_word = int(_row_capacities(n, min(n, top)).sum())
         monkeypatch.setattr(measure, "RSK_TABLE_SLOTS", batch * per_word)
         sizes = []
 
