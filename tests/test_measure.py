@@ -13,6 +13,7 @@ from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.measure import (
     GrowthCoherencyError,
     _geometric_letters,
+    _largest_letter,
     _row_capacities,
     _rsk_shapes,
     chunk_generator,
@@ -368,8 +369,7 @@ class TestRskSampler:
         expected = [rsk_shape_by_insertion(letters[i].tolist()) for i in range(m)]
         # sub-batches are sized before their letters are drawn, by the
         # largest letter any draw at q0 can give
-        top = 1 + math.floor(math.log(2.0**-53) / math.log(q0))
-        per_word = int(_row_capacities(n, min(n, top)).sum())
+        per_word = int(_row_capacities(n, min(n, _largest_letter(q0))).sum())
         monkeypatch.setattr(measure, "RSK_TABLE_SLOTS", batch * per_word)
         sizes = []
 
@@ -397,17 +397,17 @@ class TestRskSampler:
     def test_alphabet_cap_as_q_nears_one(self):
         # the cap is where a letter's tail mass falls below 2^-64, but it
         # never binds: the largest 53-bit uniform below 1 gives letter
-        # 1 + floor(53 ln 2 / -ln q) = 3653 here, so nothing is truncated
+        # 1 + floor(53 ln 2 / -ln q) = 3656 here, so nothing is truncated
         q0 = 0.99
         cap = math.ceil(64 * math.log(2) / -math.log(q0))
-        assert cap == 4414
+        assert cap == 4414 and _largest_letter(q0) == 3656
 
         class LargestUniform:
             def random(self, shape):
                 return np.full(shape, np.nextafter(1.0, 0.0))
 
         top = _geometric_letters(LargestUniform(), 200, 2, q0)
-        assert (top == 1 + math.floor(math.log(2.0**-53) / math.log(q0))).all()
+        assert (top == _largest_letter(q0)).all()
         assert top.max() <= cap
         letters = _geometric_letters(chunk_generator(3, 0, 0), 200, 50, q0)
         assert 1 <= letters.min() and letters.max() <= cap
