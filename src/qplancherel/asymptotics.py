@@ -9,13 +9,16 @@ structural equality of reduced rational functions.
 At finite n and a rational q0 there is one exact route.  The expectation
 of a product of Sigma-expansions of total degree d is a polynomial of
 degree <= d in n (Kerov-Olshanski), fixed by exact sums over diagrams of
-at most d boxes and extended to any n by forward differences.  The
-covariance of the rescaled symbols, their third cumulant, and the
-cumulants of the q-character (whose skewness and excess kurtosis are the
-report's shape targets) all come from it, with no bound on n; the
-product rule is only the oracle `selftest` compares them with.  The
-q-character's orders stop at r k <= PRODUCT_SIZE_LIMIT, the scope of the
-report's shape checks, kept so that its output is unchanged.
+at most d boxes and extended to any n by forward differences.  Each sum
+is over the integers, with one denominator per diagram size: the Sigma
+values are integers, and the measure weights and the coefficients at q0
+are brought to common denominators.  The covariance of the rescaled
+symbols, their third cumulant, and the cumulants of the q-character
+(whose skewness and excess kurtosis are the report's shape targets) all
+come from it, with no bound on n; the product rule is only the oracle
+`selftest` compares them with.  The q-character's orders stop at
+r k <= PRODUCT_SIZE_LIMIT, the scope of the report's shape checks, kept
+so that its output is unchanged.
 """
 
 from __future__ import annotations
@@ -289,19 +292,28 @@ def _moment_differences(
     (`expectation_sigma`).  So each moment is a polynomial of degree
     <= d in m, fixed by its exact values at m = 0..d.  One pass over
     those diagrams evaluates each distinct x_i once per diagram.
+
+    The sums are integer: the coefficients of the x_i at q0 are taken
+    over one denominator L, the weights at level m over one D_m, and each
+    Sigma_rho(lam) is an integer; one Fraction over D_m L^r ends each.
     """
     distinct = list(dict.fromkeys(xs))
     coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in distinct]
+    den = math.lcm(*(c.denominator for cs in coeffs for _, c in cs))
+    coeffs = [[(nu, c.numerator * den // c.denominator) for nu, c in cs] for cs in coeffs]
     slots = [distinct.index(x) for x in xs]
     rows = []
     for m in range(sum(x.degree for x in xs) + 1):
-        row = [Fraction(0)] * len(xs)
-        for lam, weight in measure_table(m, q0).items():
+        table = measure_table(m, q0)
+        scale = math.lcm(*(w.denominator for w in table.values()))
+        sums = [0] * len(xs)
+        for lam, w in table.items():
+            weight = w.numerator * scale // w.denominator
             values = [sum(c * sigma_eval(nu, lam) for nu, c in cs) for cs in coeffs]
             for r, i in enumerate(slots):
                 weight *= values[i]
-                row[r] += weight
-        rows.append(row)
+                sums[r] += weight
+        rows.append([Fraction(a, scale * den ** (r + 1)) for r, a in enumerate(sums)])
     diffs = []
     while rows:
         diffs.append(tuple(rows[0]))

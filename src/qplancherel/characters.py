@@ -120,7 +120,7 @@ def _empty_row_sums(length: int, top: int) -> tuple[int, ...]:
     return tuple(sum((-i) ** m for i in range(length)) for m in range(top + 1))
 
 
-def _solve(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
+def _solve(rows: list[list[int]], rhs: list[int]) -> list[Fraction]:
     """x with rows x = rhs, by Gauss-Jordan elimination over Q."""
     a = [[Fraction(v) for v in row] + [b] for row, b in zip(rows, rhs)]
     for col in range(len(a)):
@@ -139,10 +139,16 @@ def _solve(rows: list[list[int]], rhs: list[Fraction]) -> list[Fraction]:
 def _content_polynomial(
     mu: Partition,
 ) -> tuple[int, int, int, tuple[tuple[int, Partition], ...]]:
-    """Sigma_rho, rho the parts >= 2 of mu, as a polynomial in the
-    shifted power sums: (|mu|, k, d, terms) with k = |rho| and
-    d Sigma_rho = sum c prod_{m in nu} P_m over the terms (c, nu), all
-    integers.
+    """(|mu|, k, d, terms) with (k, d, terms) the `_content_fit` of the
+    parts >= 2 of mu, which mu 1^j shares."""
+    return (size(mu), *_content_fit(_strip_parts(mu)))
+
+
+@cache
+def _content_fit(rho: Partition) -> tuple[int, int, tuple[tuple[int, Partition], ...]]:
+    """Sigma_rho as a polynomial in the shifted power sums: (k, d, terms)
+    with k = |rho| and d Sigma_rho = sum c prod_{m in nu} P_m over the
+    terms (c, nu), all integers.
 
     Sigma_rho has degree |rho| when P_m has weight m (Kerov-Olshanski;
     Ivanov-Olshanski), so the monomials are the prod P_nu with |nu| <= k.
@@ -152,7 +158,6 @@ def _content_polynomial(
     matrix (Sigma_nu(lam) = 0 for |lam| < |nu|) whose diagonal blocks are
     character tables.
     """
-    rho = _strip_parts(mu)
     k = size(rho)
     # the partitions of size <= k index both the nodes and the monomials
     shapes = [lam for m in range(k + 1) for lam in partitions_of(m)]
@@ -163,7 +168,7 @@ def _content_polynomial(
     coeffs = _solve(rows, [sigma_eval(rho, lam) for lam in shapes])
     d = math.lcm(*(c.denominator for c in coeffs))
     terms = tuple((int(c * d), nu) for c, nu in zip(coeffs, shapes) if c)
-    return size(mu), k, d, terms
+    return k, d, terms
 
 
 def char_normalized_float(lam: Partition, mu: Partition) -> float:
@@ -189,15 +194,20 @@ def char_normalized_float(lam: Partition, mu: Partition) -> float:
     return num / (d * math.perm(n, k))
 
 
-def sigma_eval(mu: Partition, lam: Partition) -> Fraction:
-    """Central character: n^(falling |mu|) chi^lam(mu 1^(n-|mu|)) / dim.
+def sigma_eval(mu: Partition, lam: Partition) -> int:
+    """Central character n^(falling |mu|) chi^lam(mu 1^(n-|mu|)) / dim lam;
+    zero (not an error) when |mu| > |lam|.
 
-    Zero (not an error) when |mu| > |lam|.
+    An integer: z_mu C(n - |mu| + m_1, m_1) times the class-sum central
+    character of type mu 1^(n-|mu|), with m_1 the parts 1 of mu.
     """
     n, k = size(lam), size(mu)
     if k > n:
-        return Fraction(0)
-    return falling_factorial(n, k) * char_normalized(lam, mu)
+        return 0
+    value, rest = divmod(falling_factorial(n, k) * char_unnormalized(lam, mu), dim_of(lam))
+    if rest:
+        raise ArithmeticError(f"Sigma_{mu}({lam}) is not an integer")
+    return value
 
 
 def character_table(n: int) -> dict[Partition, dict[Partition, int]]:

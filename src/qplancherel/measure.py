@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -111,16 +110,21 @@ def measure_table(
 ) -> dict[Partition, QRat] | dict[Partition, Fraction]:
     """Measure vector over partitions of n, enumeration order.
 
-    q0 = None gives reduced rational functions of q.  A rational q0 gives
-    the exact Fractions of the q-hook formula, dim q0^n(lam) / prod {h}_q0,
-    without building the rational functions first.
+    q0 = None gives reduced rational functions of q.  A rational q0 = a/b
+    gives the exact Fractions of the q-hook formula, dim q0^n(lam) /
+    prod {h}_q0, as one quotient of integers: {h}_q0 = N_h / b^(h-1) with
+    N_h = a^(h-1) + b N_(h-1), and the boxes' h - 1 sum to n(lam) + n(lam').
     """
     if q0 is None:
         return {lam: measure_value(lam) for lam in partitions_of(n)}
-    qints = list(accumulate(q0**i for i in range(n)))  # {h}_q0 at index h - 1
+    a, b = q0.numerator, q0.denominator
+    qints = [1]  # N_h at index h - 1
+    for h in range(1, n):
+        qints.append(a**h + b * qints[-1])
     return {
         lam: Fraction(
-            dim_of(lam) * q0 ** n_stat(lam), math.prod(qints[h - 1] for h in hooks(lam))
+            dim_of(lam) * a ** n_stat(lam) * b ** n_stat(conjugate(lam)),
+            math.prod(qints[h - 1] for h in hooks(lam)),
         )
         for lam in partitions_of(n)
     }
@@ -172,8 +176,9 @@ def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
     """Oracle: full enumeration sum_lam M(lam) a(lam), exact.
 
     Summed per symbol over the common denominator,
-    sum_rho c_rho QRat(sum_lam N_lam Sigma_rho(lam), {n!}_q): every lam of
-    n is still visited, but each Sigma_rho is reduced once, not each lam.
+    sum_rho c_rho QRat(sum_lam N_lam Sigma_rho(lam), {n!}_q), an integer
+    polynomial times integers: every lam of n is still visited, but each
+    Sigma_rho is reduced once, not each lam.
     """
     if n > BRUTE_EXPECTATION_MAX_N:
         raise ValueError(f"n = {n} exceeds enumeration guard {BRUTE_EXPECTATION_MAX_N}")

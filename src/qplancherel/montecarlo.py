@@ -228,6 +228,10 @@ def validate_sampler(
     Draws come from a sub-seed on the gate stream so they never overlap
     the samples of the main run.  A gate whose bins pool down to one
     tests nothing (dof = 0), so it fails rather than pass vacuously.
+
+    Its design false-alarm rate is GATE_P_MIN = 1e-3 per seed: at n = 6,
+    q = 1/2 and 20000 draws the growth gate failed a correct sampler at
+    seeds 181 and 550 of 0-999, the RSK gate at none.
     """
     parts, probs = measure_probabilities(n, q0)
     shapes = sample_partitions(n, q0, draws, _gate_seed(seed), method=method)

@@ -7,8 +7,9 @@ arithmetic on plain lists of Fractions, the reference for the integer
 of the symmetric group; a float Murnaghan-Nakayama evaluation of
 normalized characters in log space; the RSK shape of a word by
 inserting its letters one at a time; the coherent growth process one
-shape and one box at a time; and the bootstrap covariances by one
-`np.cov` per resample.
+shape and one box at a time; the bootstrap covariances by one
+`np.cov` per resample; and the forward-difference moment table with
+every term a Fraction product.
 """
 
 from __future__ import annotations
@@ -21,13 +22,20 @@ from itertools import accumulate
 
 import numpy as np
 
-from qplancherel.measure import GrowthCoherencyError, chunk_generator, measure_value
+from qplancherel.characters import char_normalized
+from qplancherel.measure import (
+    GrowthCoherencyError,
+    chunk_generator,
+    measure_table,
+    measure_value,
+)
 from qplancherel.montecarlo import BOOTSTRAP_STREAM
 from qplancherel.observables import ObservableExpansion, eval_expansion
 from qplancherel.partitions import (
     Partition,
     beta_numbers,
     covers_of,
+    falling_factorial,
     partitions_of,
     size,
     small_shape_cache,
@@ -279,3 +287,38 @@ def frac_eval(a, x):
 def expectation_by_partition(a: ObservableExpansion, n: int) -> QRat:
     """sum over lam of n of M(lam) a(lam), one reduced term per partition."""
     return qrat_sum(measure_value(lam) * eval_expansion(a, lam) for lam in partitions_of(n))
+
+
+def moment_differences_by_fractions(
+    xs: tuple[ObservableExpansion, ...], q0: Fraction
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Delta^j E_0 of the moments E_m[x_1 ... x_r], as
+    `asymptotics._moment_differences` gives them, with every term a
+    Fraction: the symbolic weight of lam evaluated at q0 times the
+    product of the x_i(lam), each Sigma_nu(lam) taken as m^(falling |nu|)
+    times the exact normalized character."""
+    distinct = list(dict.fromkeys(xs))
+    coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in distinct]
+    slots = [distinct.index(x) for x in xs]
+    rows = []
+    for m in range(sum(x.degree for x in xs) + 1):
+        row = [Fraction(0)] * len(xs)
+        for lam, w in measure_table(m).items():
+            weight = w.eval_at(q0)
+            values = [
+                sum(
+                    c * falling_factorial(m, size(nu)) * char_normalized(lam, nu)
+                    for nu, c in cs
+                    if size(nu) <= m
+                )
+                for cs in coeffs
+            ]
+            for r, i in enumerate(slots):
+                weight *= values[i]
+                row[r] += weight
+        rows.append(row)
+    diffs = []
+    while rows:
+        diffs.append(tuple(rows[0]))
+        rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
+    return tuple(diffs)

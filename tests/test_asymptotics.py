@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplancherel.asymptotics import (
+    _moment_differences,
     cov_closed_form,
     cov_double_sum,
     cov_z_finite,
@@ -32,6 +33,8 @@ from qplancherel.observables import ObservableExpansion, product_sigma
 from qplancherel.partitions import partitions_of, size
 from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qrat_sum
 from qplancherel.selftest import product_rule_cumulants
+
+from oracles import moment_differences_by_fractions
 
 HALF = Fraction(1, 2)
 Q = QPoly.monomial(1)
@@ -371,6 +374,28 @@ def test_shape_targets_past_the_interpolation_nodes(k, n, q0):
     # the nodes stop at size 4 k; an enumeration beyond them tests that the
     # moments really are polynomials in n of at most that degree
     assert q_char_cumulants_at(k, n, q0) == enumerated_cumulants(k, n, q0)
+
+
+@pytest.mark.parametrize(
+    "q0", [Fraction(1, 10), HALF, Fraction(9, 10), Fraction(99, 100), Fraction(2)]
+)
+@pytest.mark.parametrize(
+    "factors",
+    [
+        [("q", (2,))] * 4,
+        [("q", (3,))] * 4,
+        [("q", (4,))] * 3,
+        [("plain", (2,)), ("plain", (3,))],
+        [("q", (2,)), ("q", (3,))],
+    ],
+    ids=["x2^4", "x3^4", "x4^3", "sigma2*sigma3", "x2*x3"],
+)
+def test_integer_moment_tables_equal_the_fraction_sums(factors, q0):
+    # Sigma_{k,q} at the orders of the report's shape targets, and a
+    # mixed pair as cov_z_finite passes it
+    build = {"q": sigma_q_in_sigma, "plain": ObservableExpansion.sigma}
+    xs = tuple(build[kind](mu) for kind, mu in factors)
+    assert _moment_differences(xs, q0) == moment_differences_by_fractions(xs, q0)
 
 
 @pytest.mark.parametrize("q0", [HALF, Fraction(2), Fraction(3, 7), Fraction(0.3), 1])

@@ -201,6 +201,19 @@ class TestSigmaEval:
         lam = (3, 2)
         assert sigma_eval((2, 1), lam) == 5 * 4 * 3 * char_normalized(lam, (2,))
 
+    def test_an_exact_integer_on_every_small_shape(self):
+        # every lam of m <= 10 against every mu of at most m boxes, fixed
+        # points included
+        for m in range(11):
+            mus = [mu for j in range(m + 1) for mu in partitions_of(j)]
+            for lam in partitions_of(m):
+                for mu in mus:
+                    value = sigma_eval(mu, lam)
+                    assert type(value) is int
+                    assert value == math.perm(m, size(mu)) * char_normalized(lam, mu)
+                for mu in partitions_of(m + 1):
+                    assert sigma_eval(mu, lam) == 0
+
 
 class TestFloatPath:
     @given(partitions_small, st.sampled_from([(2,), (3,), (2, 2), (4,), (3, 2)]))
@@ -272,6 +285,15 @@ class TestContentMomentPath:
         monkeypatch.setattr(characters, "_content_polynomial", one_coefficient_off)
         wrong = float_path_mismatches()
         assert wrong and {rho for _, rho in wrong} == {(3, 2)}
+
+    def test_one_fit_per_strip_type(self):
+        # mu and mu 1^j share the fit of their parts >= 2
+        characters._content_polynomial((4,))
+        fits = characters._content_fit.cache_info().misses
+        for mu in [(4, 1), (4, 1, 1)]:
+            assert characters._content_polynomial(mu)[1:] == characters._content_polynomial((4,))[1:]
+        assert characters._content_fit.cache_info().misses == fits
+        assert characters._content_polynomial((4, 1, 1))[0] == 6
 
     def test_the_fit_is_integral_and_the_right_size(self):
         # the monomials of weight <= k are indexed by the partitions of
