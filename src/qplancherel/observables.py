@@ -1,11 +1,14 @@
 """The algebra of central characters in the Sigma basis.
 
 An observable is a finite linear combination of symbols Sigma_mu with
-exact rational-function coefficients.  The ordinary product is computed
-by enumerating partial matchings between cycle positions and multiplying
-the resulting concrete permutations; the disjoint product just
-concatenates indices.  Joint cumulants and the observable-valued
-identity cumulants are built on top of these two products.
+exact rational-function coefficients.  The disjoint product just
+concatenates indices.  The ordinary product is read off the character
+tables of S_m, one level m = |lam| at a time: there Sigma_sigma with
+|sigma| = m - j equals Sigma_{sigma 1^j} / j!, and column orthogonality
+turns the values Sigma_mu(lam) Sigma_nu(lam) into the level's
+coefficients with no linear solve (`product_sigma`).  Joint cumulants
+and the observable-valued identity cumulants are built on these two
+products.
 """
 
 from __future__ import annotations
@@ -13,21 +16,29 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from operator import mul
 from typing import Callable, Mapping, Sequence
 
-from qplancherel.characters import sigma_eval
+from qplancherel.characters import character_table, sigma_eval
 from qplancherel.partitions import (
     Partition,
     cycle_type,
+    falling_factorial,
     multiplicities,
     partitions_of,
     set_partitions_of,
     size,
     union,
+    z_of,
 )
 from qplancherel.ratfunc import QRat, ZERO, qrat_sum
 
-PRODUCT_SIZE_LIMIT = 14  # |mu| + |nu| beyond this: matching count explodes
+# |mu| + |nu| beyond this is rejected.  The product reads the character
+# tables of S_m up to m = |mu| + |nu|: those up to S_14 take about 0.5 s
+# cold, and each further level about doubles that.  The cap also sets the
+# reach of the report's shape checks (`asymptotics.q_char_cumulants_at`
+# stops at the order r with r k <= 14), so lifting it changes the report.
+PRODUCT_SIZE_LIMIT = 14
 
 Expansion = dict[Partition, QRat]
 
@@ -109,80 +120,61 @@ def disjoint_product(
 
 
 # ---------------------------------------------------------------------------
-# ordinary product via partial matchings
+# ordinary product from the character tables
+
+@cache
+def _table_columns(m: int) -> dict[Partition, tuple[int, ...]]:
+    """The character table of S_m by columns: chi^lam(tau) over lam |- m
+    in table order, for each tau |- m; tau = 1^m holds the dimensions."""
+    table = character_table(m)
+    return {tau: tuple(row[tau] for row in table.values()) for tau in partitions_of(m)}
+
 
 @cache
 def product_sigma(mu: Partition, nu: Partition) -> ObservableExpansion:
-    """Sigma_mu Sigma_nu = sum over partial matchings M of Sigma_rho(M).
+    """Sigma_mu Sigma_nu = sum c_tau Sigma_tau, with integer c_tau and
+    max(|mu|, |nu|) <= |tau| <= |mu| + |nu|, level by level.
 
-    Positions (i,l) of mu are matched injectively with positions (j,m)
-    of nu; matched position pairs share a symbol, everything else gets a
-    fresh one.  The two cycle products are multiplied on the union
-    support and the full cycle type (fixed points included) is rho(M).
+    On lam |- m a symbol tau with |tau| = m - j takes the value
+    Sigma_tau(lam) = Sigma_{tau 1^j}(lam) / j!, and the Sigma_tau with
+    tau |- m are m! chi^lam(tau) / dim lam.  So on level m the product
+    equals sum over tau |- m of G_tau m! chi^lam(tau) / dim lam, with
+    G_tau = sum_j c_{tau minus 1^j} / j! over j = 0..m_1(tau).  Column
+    orthogonality of the S_m table inverts this with no linear solve:
+
+        G_tau = sum_lam v_lam chi^lam(tau) / (m! z_tau),
+        v_lam = Sigma_mu(lam) Sigma_nu(lam) dim lam,
+
+    and c_tau is G_tau less the terms c_{tau minus 1^j} / j!, j >= 1,
+    found on the levels below.  Below level max(|mu|, |nu|) the product
+    is 0.  Everything is integer arithmetic; a c_tau that is not an
+    integer raises ArithmeticError.
     """
-    if size(mu) + size(nu) > PRODUCT_SIZE_LIMIT:
-        raise ValueError(
-            f"|mu|+|nu| = {size(mu) + size(nu)} exceeds {PRODUCT_SIZE_LIMIT}"
-        )
-    mu_pos = [(i, l) for i, part in enumerate(mu) for l in range(part)]
-    nu_pos = [(j, m) for j, part in enumerate(nu) for m in range(part)]
-    counts: dict[Partition, int] = {}
-
-    k = size(mu)
-    # symbols: mu positions get 0..k-1; unmatched nu positions get fresh ids
-    def assemble(match: dict[int, int]):
-        # match: nu-position index -> mu-position index
-        symbol_of_nu = {}
-        fresh = k
-        for jn in range(len(nu_pos)):
-            if jn in match:
-                symbol_of_nu[jn] = match[jn]
-            else:
-                symbol_of_nu[jn] = fresh
-                fresh += 1
-        support = range(fresh)
-        sigma_perm = {x: x for x in support}
-        pos_index = 0
-        for i, part in enumerate(mu):
-            syms = list(range(pos_index, pos_index + part))
-            pos_index += part
-            for t in range(part):
-                sigma_perm[syms[t]] = syms[(t + 1) % part]
-        tau_perm = {x: x for x in support}
-        jn = 0
-        for j, part in enumerate(nu):
-            syms = [symbol_of_nu[jn + t] for t in range(part)]
-            jn += part
-            for t in range(part):
-                tau_perm[syms[t]] = syms[(t + 1) % part]
-        composed = {x: sigma_perm[tau_perm[x]] for x in support}
-        rho = cycle_type(composed)
-        counts[rho] = counts.get(rho, 0) + 1
-
-    n_nu = len(nu_pos)
-
-    def extend(jn: int, match: dict[int, int], used_mu: set[int]):
-        if jn == n_nu:
-            assemble(match)
-            return
-        extend(jn + 1, match, used_mu)
-        for im in range(len(mu_pos)):
-            if im not in used_mu:
-                match[jn] = im
-                used_mu.add(im)
-                extend(jn + 1, match, used_mu)
-                del match[jn]
-                used_mu.remove(im)
-
-    extend(0, {}, set())
-    expected = size(mu) + size(nu)
-    out = ObservableExpansion({rho: QRat(c) for rho, c in counts.items()})
-    for rho in out.terms:
-        # |rho(M)| = |mu| + |nu| - |M| bookkeeping; sizes below |mu|+|nu|
-        # are exactly the matched ones
-        if not (max(size(mu), size(nu)) <= size(rho) <= expected):
-            raise AssertionError(f"impossible term size {rho} in {mu} x {nu}")
-    return out
+    k, l = size(mu), size(nu)
+    if k + l > PRODUCT_SIZE_LIMIT:
+        raise ValueError(f"|mu|+|nu| = {k + l} exceeds {PRODUCT_SIZE_LIMIT}")
+    coeffs: dict[Partition, int] = {}
+    for m in range(max(k, l), k + l + 1):
+        columns = _table_columns(m)
+        fk, fl = falling_factorial(m, k), falling_factorial(m, l)
+        # Sigma_mu(lam) = m^(falling k) chi^lam(mu 1^(m-k)) / dim lam is an
+        # integer (`sigma_eval`), so each v_lam is an exact quotient
+        mu_col, nu_col = columns[mu + (1,) * (m - k)], columns[nu + (1,) * (m - l)]
+        v = [fk * x * fl * y // d for x, y, d in zip(mu_col, nu_col, columns[(1,) * m])]
+        m_fact = math.factorial(m)
+        for tau, column in columns.items():
+            z = z_of(tau)
+            num = sum(map(mul, v, column))
+            for j in range(1, tau.count(1) + 1):
+                num -= coeffs.get(tau[:-j], 0) * z * (m_fact // math.factorial(j))
+            c, rest = divmod(num, m_fact * z)
+            if rest:
+                raise ArithmeticError(
+                    f"coefficient of Sigma_{tau} in Sigma_{mu} Sigma_{nu} is not an integer"
+                )
+            if c:
+                coeffs[tau] = c
+    return ObservableExpansion({tau: QRat(c) for tau, c in coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,12 @@ MEMO_MAX_SIZE = 30  # shapes above this size are evaluated without caching
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Validate and normalize to a tuple; raises ValueError on bad input."""
+    """Validate and normalize to a tuple; raises ValueError on bad input.
+
+    A bool is an int to Python but not a part: JSON true is rejected."""
     lam = tuple(parts)
     for i, p in enumerate(lam):
-        if not isinstance(p, int) or p < 1:
+        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
             raise ValueError(f"partition parts must be positive integers: {lam}")
         if i and lam[i - 1] < p:
             raise ValueError(f"parts must be weakly decreasing: {lam}")
@@ -221,15 +223,11 @@ def set_partitions_of(r: int) -> Iterator[SetPartition]:
 
 @dataclass(frozen=True)
 class BorderStrip:
-    """A removable connected ribbon of lam with no 2x2 square."""
+    """A removable connected ribbon of lam with no 2x2 square: its height
+    (rows spanned less one) and the shape left once it is removed."""
 
-    cells: tuple[tuple[int, int], ...]
     height: int
     shape_after: Partition
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
 
 
 def beta_numbers(lam: Partition) -> list[int]:
@@ -264,11 +262,5 @@ def border_strips_of(lam: Partition, k: int) -> tuple[BorderStrip, ...]:
             continue
         height = sum(1 for c in beta if target < c < b)
         new_beta = beta[:i] + [target] + beta[i + 1 :]
-        kappa = _from_beta(new_beta)
-        cells = tuple(
-            (r, c)
-            for r in range(len(lam))
-            for c in range((kappa[r] if r < len(kappa) else 0), lam[r])
-        )
-        out.append(BorderStrip(cells=cells, height=height, shape_after=kappa))
+        out.append(BorderStrip(height=height, shape_after=_from_beta(new_beta)))
     return tuple(out)

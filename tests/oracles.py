@@ -8,8 +8,9 @@ of the symmetric group; a float Murnaghan-Nakayama evaluation of
 normalized characters in log space; the RSK shape of a word by
 inserting its letters one at a time; the coherent growth process one
 shape and one box at a time; the bootstrap covariances by one
-`np.cov` per resample; and the forward-difference moment table with
-every term a Fraction product.
+`np.cov` per resample; the forward-difference moment table with every
+term a Fraction product; and the product Sigma_mu Sigma_nu by
+enumerating partial matchings of cycle positions.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from qplancherel.partitions import (
     Partition,
     beta_numbers,
     covers_of,
+    cycle_type,
     falling_factorial,
     partitions_of,
     size,
@@ -322,3 +324,57 @@ def moment_differences_by_fractions(
         diffs.append(tuple(rows[0]))
         rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
     return tuple(diffs)
+
+
+def product_sigma_by_matchings(mu: Partition, nu: Partition) -> ObservableExpansion:
+    """Sigma_mu Sigma_nu = sum over partial matchings M of Sigma_rho(M).
+
+    Positions of mu are matched injectively with positions of nu;
+    matched pairs share a symbol, every other position gets a fresh one.
+    The two cycle products are composed on the union support, and the
+    full cycle type (fixed points included) is rho(M).
+    """
+    k, n_nu = size(mu), size(nu)
+    counts: dict[Partition, int] = {}
+
+    def cycles_into(perm: dict[int, int], part_sizes: Partition, symbols: list[int]):
+        start = 0
+        for part in part_sizes:
+            syms = symbols[start : start + part]
+            start += part
+            for t in range(part):
+                perm[syms[t]] = syms[(t + 1) % part]
+
+    def assemble(match: dict[int, int]):
+        # match: nu-position index -> mu-position index; mu positions are
+        # the symbols 0..k-1, unmatched nu positions get k, k+1, ...
+        symbol_of_nu = []
+        fresh = k
+        for jn in range(n_nu):
+            if jn in match:
+                symbol_of_nu.append(match[jn])
+            else:
+                symbol_of_nu.append(fresh)
+                fresh += 1
+        sigma_perm = {x: x for x in range(fresh)}
+        cycles_into(sigma_perm, mu, list(range(k)))
+        tau_perm = {x: x for x in range(fresh)}
+        cycles_into(tau_perm, nu, symbol_of_nu)
+        rho = cycle_type({x: sigma_perm[tau_perm[x]] for x in range(fresh)})
+        counts[rho] = counts.get(rho, 0) + 1
+
+    def extend(jn: int, match: dict[int, int], used_mu: set[int]):
+        if jn == n_nu:
+            assemble(match)
+            return
+        extend(jn + 1, match, used_mu)
+        for im in range(k):
+            if im not in used_mu:
+                match[jn] = im
+                used_mu.add(im)
+                extend(jn + 1, match, used_mu)
+                del match[jn]
+                used_mu.remove(im)
+
+    extend(0, {}, set())
+    return ObservableExpansion({rho: QRat(c) for rho, c in counts.items()})

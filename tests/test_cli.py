@@ -220,6 +220,10 @@ def test_invalid_partition_exits_two(capsys):
     code, _, err = run_cli(["qchar", "--lambda", "2,3", "--mu", "2"], capsys)
     assert code == 2
     assert "error:" in err
+    # a JSON bool is an int to Python, but not a part
+    code, out, err = run_cli(["qchar", "--lambda", "[2,true]", "--mu", "2", "--q", "1/2"], capsys)
+    assert code == 2 and out == ""
+    assert "error:" in err
 
 
 def test_unsupported_format_rejected(capsys):

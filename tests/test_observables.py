@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qplancherel import observables
 from qplancherel.characters import sigma_eval
 from qplancherel.groupcenter import class_product
 from qplancherel.observables import (
@@ -19,11 +20,14 @@ from qplancherel.observables import (
     transitive_cumulant_oracle,
 )
 from qplancherel.partitions import (
+    partition_str,
     partitions_of,
     size,
     union,
 )
 from qplancherel.ratfunc import QRat, ZERO
+
+from oracles import product_sigma_by_matchings
 
 sigma = ObservableExpansion.sigma
 
@@ -80,6 +84,45 @@ class TestProductSigma:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             product_sigma((8,), (7,))
+
+
+SMALL_PAIRS = [
+    (mu, nu)
+    for a in range(9)
+    for b in range(9 - a)
+    for mu in partitions_of(a)
+    for nu in partitions_of(b)
+]
+# Products of the kind `selftest.product_rule_cumulants` forms at
+# (k, r) = (3, 4) and (4, 3): a term of Sigma_{k,q}^(r-1), parts <= k, times
+# a term of Sigma_{k,q}, 12 boxes in all.  40 of these 43 pairs are among
+# the products it forms.
+LOPSIDED_PAIRS = (
+    [(sigma, (k,)) for k in (3, 4) for sigma in partitions_of(12 - k) if sigma[0] <= k]
+    + [(sigma, nu) for nu in ((2, 1), (1, 1, 1)) for sigma in ((3, 3, 3), (3, 2, 2, 1, 1))]
+    + [
+        (sigma, nu)
+        for nu in ((3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
+        for sigma in ((4, 4), (4, 2, 1, 1), (2, 2, 2, 2))
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "mu, nu",
+    SMALL_PAIRS + LOPSIDED_PAIRS + [((6,), (6,)), ((4, 2), (3, 3))],
+    ids=lambda p: f"({partition_str(p)})",
+)
+def test_product_equals_the_matchings(mu, nu):
+    assert product_sigma(mu, nu) == product_sigma_by_matchings(mu, nu)
+
+
+def test_a_coefficient_that_is_not_an_integer_raises(monkeypatch):
+    # a wrong centralizer order makes the level's quotients inexact
+    monkeypatch.setattr(observables, "z_of", lambda tau: 7)
+    product_sigma.cache_clear()
+    with pytest.raises(ArithmeticError):
+        product_sigma((2,), (2,))
 
 
 def top_two_terms(mu, nu) -> ObservableExpansion:

@@ -192,13 +192,20 @@ class TestSetPartitions:
             assert len(list(set_partitions_of(r))) == bell[r]
 
 
+def skew_cells(lam, kappa) -> list[tuple[int, int]]:
+    """Cells (row, column) of the skew diagram lam / kappa."""
+    return [
+        (r, c) for r in range(len(lam)) for c in range(kappa[r] if r < len(kappa) else 0, lam[r])
+    ]
+
+
 class TestBorderStrips:
     def test_whole_diagram_strip(self):
         strips = border_strips_of((2, 1), 3)
         assert len(strips) == 1
         assert strips[0].height == 1
         assert strips[0].shape_after == ()
-        assert strips[0].size == 3
+        assert len(skew_cells((2, 1), strips[0].shape_after)) == 3
 
     def test_no_strip(self):
         assert border_strips_of((1,), 2) == ()
@@ -216,7 +223,7 @@ class TestBorderStrips:
             kappa = s.shape_after
             assert check_partition(kappa) == kappa
             assert size(kappa) == size(lam) - k
-            assert len(s.cells) == k
+            assert len(skew_cells(lam, kappa)) == k
             # kappa fits inside lam
             for i, p in enumerate(kappa):
                 assert p <= lam[i]
@@ -224,7 +231,7 @@ class TestBorderStrips:
     @given(partitions(max_size=10), st.integers(min_value=1, max_value=6))
     def test_strip_has_no_two_by_two(self, lam, k):
         for s in border_strips_of(lam, k):
-            cells = set(s.cells)
+            cells = set(skew_cells(lam, s.shape_after))
             for (r, c) in cells:
                 assert not (
                     (r + 1, c) in cells and (r, c + 1) in cells and (r + 1, c + 1) in cells
@@ -233,7 +240,7 @@ class TestBorderStrips:
     @given(partitions(max_size=10), st.integers(min_value=1, max_value=6))
     def test_strip_connected_and_height(self, lam, k):
         for s in border_strips_of(lam, k):
-            rows = {r for (r, _) in s.cells}
+            rows = {r for (r, _) in skew_cells(lam, s.shape_after)}
             assert s.height == len(rows) - 1
             assert rows == set(range(min(rows), max(rows) + 1))
 
@@ -262,6 +269,11 @@ class TestTextForms:
             parse_partition("0")
         with pytest.raises(ValueError):
             parse_partition("a,b")
+
+    @pytest.mark.parametrize("text", ["[true]", "[2, true]"])
+    def test_parse_rejects_json_bools(self, text):
+        with pytest.raises(ValueError):
+            parse_partition(text)
 
     @given(partitions())
     def test_round_trip(self, lam):
