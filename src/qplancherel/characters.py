@@ -3,9 +3,9 @@
 Two evaluation paths:
 
 * exact: the Murnaghan-Nakayama rule over arbitrary-precision integers /
-  Fractions, memoized for small shapes.  Border strips for the parts
-  >= 2 of the cycle type are stripped off (largest first), and the
-  dimension of the remaining shape absorbs the fixed points;
+  Fractions, memoized per shape (sampled shapes take the float path).
+  Border strips for the parts >= 2 of the cycle type go largest first,
+  and the dimension of the remaining shape absorbs the fixed points;
 * float: Sigma_rho is a polynomial in the content power sums of the
   shape (Kerov-Olshanski), whose integer coefficients are fitted once
   per cycle type on small diagrams with the exact path.  Per shape it
@@ -31,11 +31,10 @@ from qplancherel.partitions import (
     hooks,
     partitions_of,
     size,
-    small_shape_cache,
 )
 
 
-@small_shape_cache
+@cache
 def dim_of(lam: Partition) -> int:
     """Number of standard Young tableaux of shape lam (hook formula)."""
     return math.factorial(size(lam)) // math.prod(hooks(lam))
@@ -60,7 +59,7 @@ def _strip_parts(mu: Partition) -> Partition:
     return tuple(sorted((p for p in mu if p >= 2), reverse=True))
 
 
-@small_shape_cache
+@cache
 def _strip_sum(lam: Partition, parts: Partition) -> int:
     if not parts:
         return dim_of(lam)

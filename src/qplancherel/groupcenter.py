@@ -56,31 +56,19 @@ def class_product(a_type: Partition, b_type: Partition) -> dict[Partition, int]:
     (sum over A) * (sum over B), computed by explicit convolution.
 
     coefficient on C = #{(x, y) in A x B : xy = g} for any fixed g in C;
-    the smaller class is the one iterated.
+    class sums are central, so A B = B A and one loop over the smaller
+    class counts it in either order.
     """
     n = size(a_type)
     if size(b_type) != n:
         raise ValueError("class types must pad to the same rank")
     buckets = perms_by_type(n)
-    reps = {mu: class_representative(mu) for mu in partitions_of(n)}
+    small, large = sorted((buckets[a_type], buckets[b_type]), key=len)
+    large_set = set(large)
     out: dict[Partition, int] = {}
-    a_elems, b_elems = buckets[a_type], buckets[b_type]
-    if len(a_elems) <= len(b_elems):
-        b_set = set(b_elems)
-        for mu, g in reps.items():
-            count = 0
-            for x in a_elems:
-                if compose(invert(x), g) in b_set:
-                    count += 1
-            if count:
-                out[mu] = count
-    else:
-        a_set = set(a_elems)
-        for mu, g in reps.items():
-            count = 0
-            for y in b_elems:
-                if compose(g, invert(y)) in a_set:
-                    count += 1
-            if count:
-                out[mu] = count
+    for mu in partitions_of(n):
+        g = class_representative(mu)
+        count = sum(compose(invert(x), g) in large_set for x in small)
+        if count:
+            out[mu] = count
     return out

@@ -17,7 +17,7 @@ correctly rounded float characters.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 
 from qplancherel.characters import char_normalized, char_normalized_float
 from qplancherel.observables import ObservableExpansion
@@ -89,21 +89,23 @@ def q_char_normalized(
     n, k = size(lam), size(mu)
     if k > n:
         raise ValueError(f"|mu| = {k} exceeds |lam| = {n}")
-    if isinstance(q0, float):
-        total = 0.0
-        for nu, c in _float_coefficients(mu, q0):
-            total += c * char_normalized_float(lam, nu)
-        return total
-    return sum(
-        (c if q0 is None else c.eval_at(q0)) * char_normalized(lam, nu)
-        for nu, c in sigma_q_in_sigma(mu).terms.items()
-    )
+    char = char_normalized_float if isinstance(q0, float) else char_normalized
+    # a loop, not sum(): from Python 3.12 on sum() compensates float sums
+    total = 0
+    for nu, c in _coefficients(mu, q0):
+        total += c * char(lam, nu)
+    return total
 
 
-@cache
-def _float_coefficients(mu: Partition, q0: float) -> tuple[tuple[Partition, float], ...]:
-    """The coefficients of `sigma_q_in_sigma(mu)` evaluated at a float q0."""
-    return tuple((nu, c.eval_at(q0)) for nu, c in sigma_q_in_sigma(mu).terms.items())
+@lru_cache(maxsize=None, typed=True)
+def _coefficients(
+    mu: Partition, q0: int | Fraction | float | None
+) -> tuple[tuple[Partition, QRat | Fraction | float], ...]:
+    """The coefficients of `sigma_q_in_sigma(mu)`, evaluated at q0 unless
+    it is None.  Typed: 0.5 == Fraction(1, 2) as keys, but they need
+    float and Fraction values."""
+    terms = sigma_q_in_sigma(mu).terms.items()
+    return tuple((nu, c if q0 is None else c.eval_at(q0)) for nu, c in terms)
 
 
 # perfbench calls the exact evaluation by this name

@@ -35,7 +35,7 @@ from multiprocessing import Pool
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from qplancherel.asymptotics import cov_closed_form, w_shape_at
 from qplancherel.measure import (
@@ -199,7 +199,7 @@ def chi_square_gof(
         return GofResult(0.0, 0, 1.0, len(pairs), draws)
     stat = sum((o - e) ** 2 / e for e, o in pairs)
     dof = len(pairs) - 1
-    return GofResult(float(stat), dof, float(chi2.sf(stat, dof)), len(pairs), draws)
+    return GofResult(float(stat), dof, float(chdtrc(dof, stat)), len(pairs), draws)
 
 
 @dataclass(frozen=True)
@@ -367,6 +367,13 @@ class Check:
     target: float
     bound: float
 
+    @classmethod
+    def of(cls, name: str, observed: float, target: float, bound: float) -> "Check":
+        """The check with its verdict by the rule above, bound inclusive."""
+        err = abs(observed - target)
+        limit = bound * abs(target) if name.startswith(("var_", "cov_")) else bound
+        return cls(name, err <= limit, observed, target, bound)
+
 
 @dataclass(frozen=True)
 class CltReport:
@@ -441,15 +448,9 @@ def evaluate_stats(
 def theory_cov_matrix(ks: Sequence[int], q0: float) -> tuple[tuple[float, ...], ...]:
     """Limit covariances of the W vector, evaluated exactly then floated."""
     qf = Fraction(q0)
-    vals = {}
-    for i, k in enumerate(ks):
-        for j, l in enumerate(ks):
-            if j < i:
-                continue
-            vals[(i, j)] = float(cov_closed_form(k, l).eval_at(qf))
     return tuple(
-        tuple(vals[(min(i, j), max(i, j))] for j in range(len(ks)))
-        for i in range(len(ks))
+        tuple(float(cov_closed_form(min(k, l), max(k, l)).eval_at(qf)) for l in ks)
+        for k in ks
     )
 
 
@@ -488,62 +489,32 @@ def run_clt(config: RunConfig) -> CltReport:
     est = estimate_cumulants(w, seed=config.seed, bootstrap=config.bootstrap)
     theory = theory_cov_matrix(config.ks, config.q)
 
-    checks: list[Check] = []
-    for i, k in enumerate(config.ks):
-        bound = MEAN_SE_FACTOR * est.mean_se[i]
-        checks.append(
-            Check(f"mean_w{k}", abs(est.mean[i]) <= bound, est.mean[i], 0.0, bound)
-        )
-    for i, k in enumerate(config.ks):
-        t = theory[i][i]
-        err = abs(est.cov[i][i] - t)
-        checks.append(
-            Check(f"var_w{k}", err <= VAR_RTOL * abs(t), est.cov[i][i], t, VAR_RTOL)
-        )
-    for i in range(len(config.ks)):
-        for j in range(i + 1, len(config.ks)):
-            t = theory[i][j]
-            err = abs(est.cov[i][j] - t)
-            checks.append(
-                Check(
-                    f"cov_w{config.ks[i]}_w{config.ks[j]}",
-                    err <= COV_RTOL * abs(t),
-                    est.cov[i][j],
-                    t,
-                    COV_RTOL,
-                )
-            )
-    for i, k in enumerate(config.ks):
+    ks = config.ks
+    rows = [
+        (f"mean_w{k}", est.mean[i], 0.0, MEAN_SE_FACTOR * est.mean_se[i])
+        for i, k in enumerate(ks)
+    ]
+    rows += [(f"var_w{k}", est.cov[i][i], theory[i][i], VAR_RTOL) for i, k in enumerate(ks)]
+    rows += [
+        (f"cov_w{ks[i]}_w{ks[j]}", est.cov[i][j], theory[i][j], COV_RTOL)
+        for i in range(len(ks))
+        for j in range(i + 1, len(ks))
+    ]
+    for i, k in enumerate(ks):
         skew_t, exkurt_t = w_shape_at(k, config.n, Fraction(config.q))
         if skew_t is not None:
-            obs = est.skewness[i]
-            checks.append(
-                Check(
-                    f"skewness_w{k}",
-                    abs(obs - skew_t) <= SKEW_MAX,
-                    obs,
-                    skew_t,
-                    SKEW_MAX,
-                )
-            )
+            rows.append((f"skewness_w{k}", est.skewness[i], skew_t, SKEW_MAX))
         if exkurt_t is not None:
             obs = est.excess_kurtosis[i]
-            checks.append(
-                Check(
-                    f"excess_kurtosis_w{k}",
-                    abs(obs - exkurt_t) <= EXKURT_MAX,
-                    obs,
-                    exkurt_t,
-                    EXKURT_MAX,
-                )
-            )
+            rows.append((f"excess_kurtosis_w{k}", obs, exkurt_t, EXKURT_MAX))
+    checks = tuple(Check.of(*row) for row in rows)
 
     return CltReport(
         config=config,
         gate=gate,
         estimate=est,
         theory_cov=theory,
-        checks=tuple(checks),
+        checks=checks,
         all_passed=all(c.passed for c in checks),
         version=__version__,
     )

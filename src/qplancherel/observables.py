@@ -249,27 +249,30 @@ def identity_cumulant(ks: tuple[int, ...]) -> ObservableExpansion:
     """Observable-valued cumulant interpolating the two products.
 
     Defined by Sigma_{k_1} ... Sigma_{k_r} = sum over set partitions pi
-    of the disjoint product of the identity cumulants of the blocks;
-    solved for the top (one-block) term.
+    of the disjoint product of the identity cumulants of the blocks.
+    Grouped by the block B that holds k_1, the other blocks sum to the
+    product of their Sigma_k: kappa(ks) is that product less
+    kappa(ks_B) . prod_{i not in B} Sigma_{k_i} over the 2^(r-1) - 1
+    blocks B other than all of ks.  kappa is symmetric, so the recursion
+    runs on ks in decreasing order.
     """
-    ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one cycle length")
-    if len(ks) == 1:
-        return ObservableExpansion.sigma((ks[0],))
-    full = ObservableExpansion.sigma((ks[0],))
-    for k in ks[1:]:
-        full = full * ObservableExpansion.sigma((k,))
-    correction = ObservableExpansion({})
-    for pi in set_partitions_of(len(ks)):
-        if len(pi) == 1:
-            continue
-        blockprod = None
-        for block in pi:
-            part = identity_cumulant(tuple(sorted(ks[i] for i in block)))
-            blockprod = part if blockprod is None else disjoint_product(blockprod, part)
-        correction = correction + blockprod
-    return full - correction
+    ks = tuple(sorted(ks, reverse=True))
+    first, rest = ks[0], ks[1:]
+    out = _sigma_product(ks)
+    for mask in range(2 ** len(rest) - 1):  # the proper subsets of rest
+        inside = (first,) + tuple(k for i, k in enumerate(rest) if mask >> i & 1)
+        outside = tuple(k for i, k in enumerate(rest) if not mask >> i & 1)
+        out = out - disjoint_product(identity_cumulant(inside), _sigma_product(outside))
+    return out
+
+
+@cache
+def _sigma_product(ks: Partition) -> ObservableExpansion:
+    """The ordinary product Sigma_{k_1} ... Sigma_{k_r}, in the order of ks."""
+    last = ObservableExpansion.sigma(ks[-1:])
+    return last if len(ks) == 1 else _sigma_product(ks[:-1]) * last
 
 
 def transitive_cumulant_oracle(ks: Sequence[int]) -> ObservableExpansion:

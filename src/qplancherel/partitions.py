@@ -10,12 +10,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cache, wraps
+from functools import cache
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
-
-MEMO_MAX_SIZE = 30  # shapes above this size are evaluated without caching
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -142,23 +140,6 @@ def cycle_type(perm) -> Partition:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def small_shape_cache(fn):
-    """Memoize fn(lam, *args) for shapes of size <= MEMO_MAX_SIZE.
-
-    Larger shapes rarely repeat, so they are evaluated without caching,
-    which keeps the cache from growing with the sampled n.
-    """
-    cached = cache(fn)
-
-    @wraps(fn)
-    def wrapper(lam: Partition, *args):
-        if size(lam) <= MEMO_MAX_SIZE:
-            return cached(lam, *args)
-        return fn(lam, *args)
-
-    return wrapper
 
 
 def hooks(lam: Partition) -> tuple[int, ...]:

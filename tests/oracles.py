@@ -19,6 +19,7 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache, wraps
 from itertools import accumulate
 
 import numpy as np
@@ -40,7 +41,6 @@ from qplancherel.partitions import (
     falling_factorial,
     partitions_of,
     size,
-    small_shape_cache,
     z_of,
 )
 from qplancherel.ratfunc import QPoly, QRat, qrat_sum
@@ -142,6 +142,23 @@ def transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
             w *= (1.0 - q0 ** (e - parts[u])) / (1.0 - q0 ** (e - parts[u + 1]))
         out.append(w)
     return tuple(out)
+
+
+def small_shape_cache(fn):
+    """Memoize fn(lam, *args) for shapes of at most 30 boxes.
+
+    Larger shapes rarely repeat, so they are evaluated without caching,
+    which keeps the cache from growing with the length of the chains.
+    """
+    cached = cache(fn)
+
+    @wraps(fn)
+    def wrapper(lam: Partition, *args):
+        if size(lam) <= 30:
+            return cached(lam, *args)
+        return fn(lam, *args)
+
+    return wrapper
 
 
 @small_shape_cache

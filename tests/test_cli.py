@@ -240,15 +240,28 @@ def test_chartable_trivial_row(capsys):
     assert all(v == "1" for v in trivial[1:])
 
 
-def test_module_entry_point():
-    # the subprocess finds the package of this checkout, installed or not
+def run_python(*args):
+    """This interpreter with the package of this checkout on its path,
+    installed or not."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qplancherel", "cov", "--k", "2", "--l", "3", "--q", "1/2"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point():
+    proc = run_python("-m", "qplancherel", "cov", "--k", "2", "--l", "3", "--q", "1/2")
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1/70"
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats takes about a second to import, and no command needs it
+    code = "import sys, qplancherel.cli; print('scipy.stats' in sys.modules)"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

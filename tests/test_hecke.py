@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qplancherel import hecke
 from qplancherel.characters import char_normalized
 from qplancherel.hecke import (
     q_char_normalized,
@@ -84,6 +85,20 @@ class TestQCharNormalized:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             q_char_normalized((2,), (3,))
+
+    @pytest.mark.parametrize(
+        "order", [(0.5, Fraction(1, 2), None), (None, Fraction(1, 2), 0.5)]
+    )
+    def test_the_type_of_q_picks_the_scalar_domain(self, order):
+        # 0.5 == Fraction(1, 2) as cache keys: an untyped coefficient cache
+        # would hand the values cached for one to the other
+        hecke._coefficients.cache_clear()
+        got = {type(q0): q_char_normalized((2, 1), (2,), q0) for q0 in order}
+        assert type(got[float]) is float
+        assert type(got[Fraction]) is Fraction
+        assert type(got[type(None)]) is QRat
+        assert got[float] == got[Fraction] == Fraction(-1, 4)
+        assert got[type(None)].eval_at(Fraction(1, 2)) == Fraction(-1, 4)
 
     @settings(deadline=None)
     @given(

@@ -12,6 +12,7 @@ from qplancherel import montecarlo
 from qplancherel.asymptotics import cov_closed_form, w_shape_at
 from qplancherel.measure import SAMPLE_CHUNK, SAMPLER_CHUNK_FNS, sample_exact_chunk
 from qplancherel.montecarlo import (
+    Check,
     RunConfig,
     SamplerGateError,
     chi_square_gof,
@@ -114,6 +115,19 @@ def test_gof_matches_scipy_when_no_pooling():
     stat, p = scipy.stats.chisquare([35, 40, 25], [40, 35, 25])
     assert r.statistic == pytest.approx(stat)
     assert r.p_value == pytest.approx(p)
+
+
+@pytest.mark.parametrize("bins", [2, 3, 5, 10, 20, 40])
+def test_gof_p_value_is_the_scipy_chi2_survival_bitwise(bins):
+    # `shift` counts move from the second bin to the first: statistics
+    # 0 .. 96 at dof = bins - 1
+    cats = list(range(bins))
+    for shift in range(50):
+        obs = Counter({c: 50 for c in cats}) + Counter({0: shift})
+        obs[1] -= shift
+        r = chi_square_gof(obs, cats, [1 / bins] * bins, 50 * bins)
+        assert r.dof == bins - 1
+        assert r.p_value == float(scipy.stats.chi2.sf(r.statistic, r.dof))
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +401,19 @@ def test_evaluate_stats_matches_direct():
     for i, lam in enumerate(shapes):
         assert w[i, 0] == stat_w(lam, 2, 0.5)
         assert w[i, 1] == stat_w(lam, 3, 0.5)
+
+
+def test_check_bound_is_inclusive_and_relative_only_for_var_and_cov():
+    assert Check.of("skewness_w3", 0.5, 0.25, 0.25).passed
+    assert not Check.of("skewness_w3", 0.5 + 2**-40, 0.25, 0.25).passed
+    assert Check.of("mean_w2", -0.375, 0.0, 0.375).passed
+    # relative bounds scale with |target|, also for a negative target
+    for name in ("var_w2", "cov_w2_w3"):
+        assert Check.of(name, -0.75, -0.5, 0.5).passed
+        assert not Check.of(name, -0.75 - 2**-40, -0.5, 0.5).passed
+        assert not Check.of(name, 0.25, 0.0, 0.5).passed
+    c = Check.of("cov_w2_w3", -0.75, -0.5, 0.5)
+    assert (c.name, c.observed, c.target, c.bound) == ("cov_w2_w3", -0.75, -0.5, 0.5)
 
 
 def test_theory_matrix_symmetric_positive():

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -245,6 +246,12 @@ class TestProjection:
         rhs = {t: c for t, c in rhs.items() if not c.is_zero()}
         assert lhs == rhs
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_class_product_commutes(self, n):
+        for a in partitions_of(n):
+            for b in partitions_of(n):
+                assert class_product(a, b) == class_product(b, a), (a, b)
+
 
 class TestEvaluation:
     @given(small_partition, small_partition, st.integers(min_value=1, max_value=8))
@@ -332,6 +339,12 @@ class TestIdentityCumulant:
     def test_degree_bound(self, ks):
         bound = sum(ks) - len(ks) + 1
         assert identity_cumulant(ks).degree <= bound
+
+    @pytest.mark.parametrize("ks", [(2, 3), (1, 2, 3), (3, 1, 2, 2), (2, 1, 3, 1, 1)])
+    def test_order_of_the_cycle_lengths_does_not_matter(self, ks):
+        want = transitive_cumulant_oracle(ks)
+        for perm in set(permutations(ks)):
+            assert identity_cumulant(perm) == want, perm
 
     def test_oracle_guard(self):
         with pytest.raises(ValueError):
