@@ -10,6 +10,14 @@ Every option can also come from a key = value config file passed with
 --config; explicit command-line values win.  Numeric q is accepted as a
 decimal or an exact fraction like 1/2 and is kept exact wherever the
 computation is symbolic.
+
+Output has one path.  A command computes its result and returns its
+forms, {format: zero-argument render}, default format first, with its
+exit code.  main checks --format against those keys, calls only the
+chosen render, dumps a dict it returns as JSON (sorted keys, indent 2,
+trailing newline), and writes the text once, to stdout or --out.  Any
+error on the way, a file that cannot be opened included, is one
+"error: ..." line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -39,6 +47,7 @@ from qplancherel.hecke import (
 )
 from qplancherel.measure import (
     BRUTE_EXPECTATION_MAX_N,
+    SAMPLER_CHUNK_FNS,
     expectation_brute,
     expectation_sigma,
     expectation_sigma_q,
@@ -85,23 +94,27 @@ GLOBAL_OPTS = [
 ]
 
 
-def _convert(kind: str, raw):
+def _convert(opt: Opt, raw):
     if raw is None or isinstance(raw, (bool, int, tuple, list, Fraction)):
         return raw
     s = str(raw).strip()
-    if kind == "int":
+    if opt.kind == "int":
         return int(s)
-    if kind == "q":
+    if opt.kind == "q":
         return Fraction(s)
-    if kind == "partition":
+    if opt.kind == "partition":
         return parse_partition(s)
-    if kind == "ks":
+    if opt.kind == "ks":
         parts = [t for t in s.replace(" ", "").split(",") if t]
         return tuple(int(t) for t in parts)
-    if kind == "fractions":
+    if opt.kind == "fractions":
         return [Fraction(t.strip()) for t in s.split(",")]
-    if kind == "bool":
-        return s.lower() in ("1", "true", "yes", "on")
+    if opt.kind == "bool":
+        if s.lower() in ("1", "true", "yes", "on"):
+            return True
+        if s.lower() in ("0", "false", "no", "off"):
+            return False
+        raise CliError(f"--{opt.name} takes 1/true/yes/on or 0/false/no/off, not {s!r}")
     return s
 
 
@@ -122,13 +135,6 @@ def load_config(path: str) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(options, *allowed, default):
-    fmt = options["format"] or default
-    if fmt not in allowed:
-        raise CliError(f"format {fmt!r} not supported here (use {'|'.join(allowed)})")
-    return fmt
-
-
 def _csv_table(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
@@ -137,19 +143,26 @@ def _csv_table(header, rows) -> str:
     return buf.getvalue()
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 def _terms_payload(a: ObservableExpansion) -> list[dict]:
     items = sorted(a.terms.items(), key=lambda kv: (-(sum(kv[0])), kv[0]))
     return [{"index": list(mu), "coeff": str(c)} for mu, c in items]
 
 
-# ---------------------------------------------------------------------------
-# command handlers; each returns (text, exit_code)
+def _value_forms(o, value: str, *names) -> tuple[dict, int]:
+    """The forms of one exact value: its line of text, or JSON of the
+    options named, q and the value."""
+    return {
+        "text": lambda: value + "\n",
+        "json": lambda: {name: o[name] for name in names}
+        | {"q": None if o["q"] is None else str(o["q"]), "value": value},
+    }, 0
 
-def cmd_measure(o) -> tuple[str, int]:
+
+# ---------------------------------------------------------------------------
+# command handlers; each returns ({format: render}, exit_code), default
+# format first, and main calls the one render asked for
+
+def cmd_measure(o) -> tuple[dict, int]:
     n = o["n"]
     if o["symbolic"]:
         rows = [(partition_str(lam), str(v)) for lam, v in measure_table(n).items()]
@@ -158,124 +171,94 @@ def cmd_measure(o) -> tuple[str, int]:
             raise CliError("measure needs --q unless --symbolic is given")
         parts, probs = measure_probabilities(n, float(o["q"]))
         rows = [(partition_str(lam), repr(float(p))) for lam, p in zip(parts, probs)]
-    fmt = _fmt(o, "csv", "json", default="csv")
-    if fmt == "json":
-        payload = {
+    return {
+        "csv": lambda: _csv_table(["partition", "probability"], rows),
+        "json": lambda: {
             "n": n,
             "q": None if o["q"] is None else str(o["q"]),
             "symbolic": bool(o["symbolic"]),
             "rows": [{"partition": p, "probability": v} for p, v in rows],
-        }
-        return _json_dump(payload), 0
-    return _csv_table(["partition", "probability"], rows), 0
+        },
+    }, 0
 
 
-def cmd_chartable(o) -> tuple[str, int]:
+def cmd_chartable(o) -> tuple[dict, int]:
     n = o["n"]
-    table = character_table(n)
     cols = partitions_of(n)
-    fmt = _fmt(o, "csv", "json", default="csv")
-    if fmt == "json":
-        payload = {
-            "n": n,
-            "columns": [partition_str(mu) for mu in cols],
-            "rows": {
-                partition_str(lam): [row[mu] for mu in cols]
-                for lam, row in table.items()
-            },
-        }
-        return _json_dump(payload), 0
-    header = ["lambda\\mu"] + [partition_str(mu) for mu in cols]
-    rows = [
-        [partition_str(lam)] + [str(row[mu]) for mu in cols]
-        for lam, row in table.items()
-    ]
-    return _csv_table(header, rows), 0
+    columns = [partition_str(mu) for mu in cols]
+    rows = {
+        partition_str(lam): [row[mu] for mu in cols]
+        for lam, row in character_table(n).items()
+    }
+    return {
+        "csv": lambda: _csv_table(
+            ["lambda\\mu"] + columns,
+            [[lam] + [str(v) for v in values] for lam, values in rows.items()],
+        ),
+        "json": lambda: {"n": n, "columns": columns, "rows": rows},
+    }, 0
 
 
-def cmd_product(o) -> tuple[str, int]:
+def cmd_product(o) -> tuple[dict, int]:
     a = product_sigma(o["mu"], o["nu"])
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        return _json_dump({"terms": _terms_payload(a)}), 0
-    return expansion_str(a) + "\n", 0
+    return {
+        "text": lambda: expansion_str(a) + "\n",
+        "json": lambda: {"terms": _terms_payload(a)},
+    }, 0
 
 
-def cmd_idcum(o) -> tuple[str, int]:
+def cmd_idcum(o) -> tuple[dict, int]:
     a = identity_cumulant(o["ks"])
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        return _json_dump({"ks": list(o["ks"]), "terms": _terms_payload(a)}), 0
-    return expansion_str(a) + "\n", 0
+    return {
+        "text": lambda: expansion_str(a) + "\n",
+        "json": lambda: {"ks": list(o["ks"]), "terms": _terms_payload(a)},
+    }, 0
 
 
-def cmd_ram(o) -> tuple[str, int]:
+def cmd_ram(o) -> tuple[dict, int]:
     rho = o["rho"]
     to_sigma = sigma_q_in_sigma(rho)
     to_sigma_q = sigma_in_sigma_q(rho)
     label = ",".join(map(str, rho))
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {
+    return {
+        "text": lambda: (
+            f"SigmaQ[{label}] = {expansion_str(to_sigma)}\n"
+            f"Sigma[{label}] = {expansion_str(to_sigma_q, symbol='SigmaQ')}\n"
+        ),
+        "json": lambda: {
             "rho": list(rho),
             "sigma_q_in_sigma": _terms_payload(to_sigma),
             "sigma_in_sigma_q": _terms_payload(to_sigma_q),
-        }
-        return _json_dump(payload), 0
-    lines = [
-        f"SigmaQ[{label}] = {expansion_str(to_sigma)}",
-        f"Sigma[{label}] = {expansion_str(to_sigma_q, symbol='SigmaQ')}",
-    ]
-    return "\n".join(lines) + "\n", 0
+        },
+    }, 0
 
 
-def cmd_qchar(o) -> tuple[str, int]:
-    lam, mu = o["lambda"], o["mu"]
-    value = str(q_char_normalized(lam, mu, o["q"]))
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {
-            "lambda": list(lam),
-            "mu": list(mu),
-            "q": None if o["q"] is None else str(o["q"]),
-            "value": value,
-        }
-        return _json_dump(payload), 0
-    return value + "\n", 0
+def cmd_qchar(o) -> tuple[dict, int]:
+    value = q_char_normalized(o["lambda"], o["mu"], o["q"])
+    return _value_forms(o, str(value), "lambda", "mu")
 
 
-def cmd_expect(o) -> tuple[str, int]:
+# --family: the symbol in the Sigma basis, for --brute, and its closed form
+_FAMILIES = {
+    "sigma": (ObservableExpansion.sigma, expectation_sigma),
+    "sigma-q": (sigma_q_in_sigma, expectation_sigma_q),
+}
+
+
+def cmd_expect(o) -> tuple[dict, int]:
     mu, n = o["mu"], o["n"]
-    family = o["family"]
+    symbol, closed_form = _FAMILIES[o["family"]]
     if o["brute"]:
         if n > BRUTE_EXPECTATION_MAX_N:
             raise CliError(f"--brute enumerates partitions; n <= {BRUTE_EXPECTATION_MAX_N}")
-        a = (
-            ObservableExpansion.sigma(mu)
-            if family == "sigma"
-            else sigma_q_in_sigma(mu)
-        )
-        value = expectation_brute(a, n)
-    elif family == "sigma":
-        value = expectation_sigma(mu, n)
+        value = expectation_brute(symbol(mu), n)
     else:
-        value = expectation_sigma_q(mu, n)
+        value = closed_form(mu, n)
     rendered = str(value if o["q"] is None else value.eval_at(o["q"]))
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {
-            "mu": list(mu),
-            "n": n,
-            "family": family,
-            "brute": bool(o["brute"]),
-            "q": None if o["q"] is None else str(o["q"]),
-            "value": rendered,
-        }
-        return _json_dump(payload), 0
-    return rendered + "\n", 0
+    return _value_forms(o, rendered, "mu", "n", "family", "brute")
 
 
-def cmd_sample(o) -> tuple[str, int]:
+def cmd_sample(o) -> tuple[dict, int]:
     q0 = float(o["q"])
     shapes = sample_partitions(
         o["n"], q0, o["count"], o["seed"], method=o["method"], workers=o["workers"]
@@ -283,23 +266,23 @@ def cmd_sample(o) -> tuple[str, int]:
     if o["stats"]:
         w = evaluate_stats(shapes, o["stats"], q0)
         est = estimate_cumulants(w, seed=o["seed"], bootstrap=0)
-        payload = {
-            "n": o["n"],
-            "q": str(o["q"]),
-            "count": o["count"],
-            "ks": list(o["stats"]),
-            "mean": list(est.mean),
-            "cov": [list(r) for r in est.cov],
-            "skewness": list(est.skewness),
-            "excess_kurtosis": list(est.excess_kurtosis),
-        }
-        _fmt(o, "json", default="json")
-        return _json_dump(payload), 0
-    fmt = _fmt(o, "text", "csv", default="text")
+        return {
+            "json": lambda: {
+                "n": o["n"],
+                "q": str(o["q"]),
+                "count": o["count"],
+                "ks": list(o["stats"]),
+                "mean": list(est.mean),
+                "cov": [list(r) for r in est.cov],
+                "skewness": list(est.skewness),
+                "excess_kurtosis": list(est.excess_kurtosis),
+            },
+        }, 0
     lines = [partition_str(lam) for lam in shapes]
-    if fmt == "csv":
-        return _csv_table(["partition"], [[x] for x in lines]), 0
-    return "\n".join(lines) + "\n", 0
+    return {
+        "text": lambda: "\n".join(lines) + "\n",
+        "csv": lambda: _csv_table(["partition"], [[x] for x in lines]),
+    }, 0
 
 
 _COV_ROUTES = {
@@ -309,73 +292,60 @@ _COV_ROUTES = {
 }
 
 
-def cmd_cov(o) -> tuple[str, int]:
+def cmd_cov(o) -> tuple[dict, int]:
     value = _COV_ROUTES[o["route"]](o["k"], o["l"])
     rendered = str(value if o["q"] is None else value.eval_at(o["q"]))
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {
-            "k": o["k"],
-            "l": o["l"],
-            "route": o["route"],
-            "q": None if o["q"] is None else str(o["q"]),
-            "value": rendered,
-        }
-        return _json_dump(payload), 0
-    return rendered + "\n", 0
+    return _value_forms(o, rendered, "k", "l", "route")
 
 
-def cmd_mobius(o) -> tuple[str, int]:
+def cmd_mobius(o) -> tuple[dict, int]:
     f = poly_class_function(o["poly"])
     brute = mobius_brute(f, o["n"])
     closed = mobius_closed(f, o["n"])
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {
+    return {
+        "text": lambda: f"brute  = {brute}\nclosed = {closed}\nagree  = {brute == closed}\n",
+        "json": lambda: {
             "n": o["n"],
             "poly": [str(c) for c in o["poly"]],
             "brute": str(brute),
             "closed": str(closed),
             "agree": brute == closed,
-        }
-        return _json_dump(payload), 0
-    return f"brute  = {brute}\nclosed = {closed}\nagree  = {brute == closed}\n", 0
+        },
+    }, 0
 
 
-def cmd_basis(o) -> tuple[str, int]:
+def cmd_basis(o) -> tuple[dict, int]:
     k = o["degree"]
     which = (
         ("h_in_p", "p_in_h") if o["which"] == "both" else (o["which"],)
     )
-    fmt = _fmt(o, "text", "json", default="text")
-    if fmt == "json":
-        payload = {"degree": k}
-        for name in which:
-            m = transition_matrix(k, name)
-            payload[name] = {
+
+    def matrices():
+        # labelled entries, built by the renders, so that an unoffered
+        # --format is reported before a bad --degree
+        return {
+            name: {
                 partition_str(nu): {
                     partition_str(rho): str(c) for rho, c in row.items()
                 }
-                for nu, row in m.items()
+                for nu, row in transition_matrix(k, name).items()
             }
-        return _json_dump(payload), 0
-    blocks = []
-    cols = partitions_of(k)
-    for name in which:
-        m = transition_matrix(k, name)
-        header = [name] + [f"[{partition_str(c)}]" for c in cols]
-        lines = ["  ".join(header)]
-        for nu in cols:
-            lines.append(
-                "  ".join(
-                    [f"[{partition_str(nu)}]"] + [str(m[nu][rho]) for rho in cols]
-                )
-            )
-        blocks.append("\n".join(lines))
-    return "\n\n".join(blocks) + "\n", 0
+            for name in which
+        }
+
+    def text():
+        blocks = []
+        for name, m in matrices().items():
+            lines = ["  ".join([name] + [f"[{rho}]" for rho in m])]
+            for nu, row in m.items():
+                lines.append("  ".join([f"[{nu}]", *row.values()]))
+            blocks.append("\n".join(lines))
+        return "\n\n".join(blocks) + "\n"
+
+    return {"text": text, "json": lambda: {"degree": k} | matrices()}, 0
 
 
-def cmd_clt(o) -> tuple[str, int]:
+def cmd_clt(o) -> tuple[dict, int]:
     cfg = RunConfig(
         n=o["n"],
         q=float(o["q"]),
@@ -390,15 +360,15 @@ def cmd_clt(o) -> tuple[str, int]:
         gate_draws=o["gate_draws"],
     )
     report = run_clt(cfg)
-    fmt = _fmt(o, "json", "csv", default="json")
-    return (report.to_json() if fmt == "json" else report.to_csv()), 0
+    return {"json": report.to_json, "csv": report.to_csv}, 0
 
 
-def cmd_selftest(o) -> tuple[str, int]:
+def cmd_selftest(o) -> tuple[dict, int]:
     results = selftest_mod.run(full=o["full"])
-    fmt = _fmt(o, "text", "json", default="text")
-    text = selftest_mod.render(results, "json" if fmt == "json" else "text")
-    return text, 0 if all(r.passed for r in results) else 1
+    return {
+        "text": lambda: selftest_mod.render(results, "text"),
+        "json": lambda: selftest_mod.render(results, "json"),
+    }, 0 if all(r.passed for r in results) else 1
 
 
 COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
@@ -454,7 +424,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("mu", "partition", required=True),
             Opt("n", "int", required=True),
             Opt("q", "q"),
-            Opt("family", "str", "sigma", choices=("sigma", "sigma-q")),
+            Opt("family", "str", "sigma", choices=tuple(_FAMILIES)),
             Opt("brute", "bool", False, help="full enumeration instead of closed form"),
         ],
         cmd_expect,
@@ -465,7 +435,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("n", "int", required=True),
             Opt("q", "q", required=True),
             Opt("count", "int", 1000),
-            Opt("method", "str", "rsk", choices=("exact", "rsk", "growth")),
+            Opt("method", "str", "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
             Opt("stats", "ks", help="aggregate W statistics for these k instead"),
         ],
         cmd_sample,
@@ -476,7 +446,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("k", "int", required=True),
             Opt("l", "int", required=True),
             Opt("q", "q", help="evaluate exactly at this q; symbolic if omitted"),
-            Opt("route", "str", "closed", choices=("closed", "doublesum", "mobius")),
+            Opt("route", "str", "closed", choices=tuple(_COV_ROUTES)),
         ],
         cmd_cov,
     ),
@@ -503,7 +473,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("q", "q", required=True),
             Opt("count", "int", 20_000),
             Opt("ks", "ks", (2, 3)),
-            Opt("sampler", "str", "rsk", choices=("exact", "rsk", "growth")),
+            Opt("sampler", "str", "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
             Opt("bootstrap", "int", 1000),
             Opt("skip-gate", "bool", False, help="waive the sampler fit gate"),
             Opt("gate-n", "int", 6),
@@ -552,7 +522,7 @@ def _resolve_options(args: argparse.Namespace, opts: list[Opt]) -> dict:
             raw = config[dest]
         if raw is None:
             raw = opt.default
-        value = _convert(opt.kind, raw)
+        value = _convert(opt, raw)
         if value is None and opt.required:
             raise CliError(f"missing required option --{opt.name}")
         if opt.choices and value is not None and value not in opt.choices:
@@ -567,15 +537,21 @@ def main(argv=None) -> int:
     _, opts, handler = COMMANDS[args.command]
     try:
         resolved = _resolve_options(args, opts)
-        text, code = handler(resolved)
-    except (CliError, ValueError, RuntimeError) as exc:
+        forms, code = handler(resolved)
+        fmt = resolved["format"] or next(iter(forms))
+        if fmt not in forms:
+            raise CliError(f"format {fmt!r} not supported here (use {'|'.join(forms)})")
+        text = forms[fmt]()
+        if isinstance(text, dict):
+            text = json.dumps(text, sort_keys=True, indent=2) + "\n"
+        if resolved["out"]:
+            with open(resolved["out"], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (CliError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if resolved["out"]:
-        with open(resolved["out"], "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

@@ -157,6 +157,8 @@ def measure_probabilities(n: int, q0: float) -> tuple[tuple[Partition, ...], np.
 
 def expectation_sigma(mu: Partition, n: int) -> QRat:
     """E[Sigma_mu] = (1-q)^{|mu|} / (1-q^mu) * n falling |mu|."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     k = size(mu)
     ff = falling_factorial(n, k)
     if ff == 0:
@@ -167,6 +169,8 @@ def expectation_sigma(mu: Partition, n: int) -> QRat:
 
 def expectation_sigma_q(mu: Partition, n: int) -> QRat:
     """E[Sigma_{mu,q}] = n falling |mu| when mu is all ones, else 0."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if any(p != 1 for p in mu):
         return QRat(0)
     return QRat(falling_factorial(n, size(mu)))

@@ -258,6 +258,8 @@ def identity_cumulant(ks: tuple[int, ...]) -> ObservableExpansion:
     """
     if not ks:
         raise ValueError("need at least one cycle length")
+    if min(ks) < 1:
+        raise ValueError(f"cycle lengths must be at least 1, got ks = {ks}")
     ks = tuple(sorted(ks, reverse=True))
     first, rest = ks[0], ks[1:]
     out = _sigma_product(ks)

@@ -339,10 +339,6 @@ class QRat:
         r.num, r.den = num, den
         return r
 
-    @staticmethod
-    def const(c: Scalar) -> "QRat":
-        return QRat._raw(QPoly.const(c), ONE_POLY) if c else ZERO
-
     def is_zero(self) -> bool:
         return self.num.is_zero()
 

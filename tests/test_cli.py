@@ -175,12 +175,15 @@ def test_clt_rejects_a_gate_that_cannot_test(flag, value, field, capsys):
     assert field in err
 
 
+CLT_CFG = (
+    "n = 10\nq = 1/2\ncount = 600\nsampler = exact\n"
+    "bootstrap = 0\ngate-draws = 3000\nseed = 9\n# comment\n"
+)
+
+
 def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "n = 10\nq = 1/2\ncount = 600\nsampler = exact\n"
-        "bootstrap = 0\ngate-draws = 3000\nseed = 9\n# comment\n"
-    )
+    cfg.write_text(CLT_CFG)
     _, from_cfg, _ = run_cli(["clt", "--config", str(cfg)], capsys)
     assert json.loads(from_cfg)["config"]["num_samples"] == 600
     _, overridden, _ = run_cli(
@@ -265,3 +268,129 @@ def test_import_leaves_scipy_stats_out():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+# Each command with small arguments, and the formats it offers, default first.
+FORMS = {
+    "measure": (["--n", "3", "--q", "1/2"], ("csv", "json")),
+    "chartable": (["--n", "3"], ("csv", "json")),
+    "product": (["--mu", "2", "--nu", "2"], ("text", "json")),
+    "idcum": (["--ks", "2,2"], ("text", "json")),
+    "ram": (["--rho", "2"], ("text", "json")),
+    "qchar": (["--lambda", "3,1", "--mu", "2"], ("text", "json")),
+    "expect": (["--mu", "2", "--n", "4"], ("text", "json")),
+    "sample": (["--n", "6", "--q", "1/2", "--count", "5", "--method", "exact"], ("text", "csv")),
+    "sample --stats": (
+        ["--n", "6", "--q", "1/2", "--count", "50", "--method", "exact", "--stats", "2"],
+        ("json",),
+    ),
+    "cov": (["--k", "2", "--l", "3"], ("text", "json")),
+    "mobius": (["--n", "4", "--poly", "0,1"], ("text", "json")),
+    "basis": (["--degree", "2"], ("text", "json")),
+    "clt": (CLT_ARGS[1:], ("json", "csv")),
+    "selftest": ([], ("text", "json")),
+}
+
+
+def form_argv(case):
+    args, _ = FORMS[case]
+    return [case.split()[0]] + args
+
+
+@pytest.fixture
+def fake_selftest(monkeypatch):
+    results = [CheckResult("alpha", True, "ok")]
+    monkeypatch.setattr(cli.selftest_mod, "run", lambda full=False: results)
+
+
+@pytest.mark.parametrize(
+    "case, fmt", [(case, fmt) for case, (_, offered) in FORMS.items() for fmt in offered]
+)
+def test_every_offered_format(case, fmt, fake_selftest, capsys):
+    code, out, err = run_cli(form_argv(case) + ["--format", fmt], capsys)
+    assert code == 0 and err == ""
+    if fmt == "json":
+        assert isinstance(json.loads(out), dict)
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and all(rows[0])
+        assert {len(r) for r in rows} == {len(rows[0])}
+    else:
+        assert out.strip() and out.endswith("\n")
+    if fmt == FORMS[case][1][0]:
+        assert run_cli(form_argv(case), capsys) == (code, out, err)
+
+
+@pytest.mark.parametrize("case", list(FORMS))
+def test_an_unoffered_format_lists_the_offered_ones(case, fake_selftest, capsys):
+    offered = FORMS[case][1]
+    for fmt in ("text", "json", "csv"):
+        if fmt in offered:
+            continue
+        code, out, err = run_cli(form_argv(case) + ["--format", fmt], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: format '{fmt}' not supported here (use {'|'.join(offered)})\n"
+
+
+def assert_one_error_line(code, out, err):
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("ks", ["2,0", "0", "-1"])
+def test_idcum_rejects_a_cycle_length_below_one(ks, capsys):
+    code, out, err = run_cli(["idcum", "--ks", ks], capsys)
+    assert_one_error_line(code, out, err)
+    assert "cycle lengths must be at least 1" in err and "ks" in err
+
+
+@pytest.mark.parametrize("family", ["sigma", "sigma-q"])
+@pytest.mark.parametrize("route", [[], ["--brute"]], ids=["closed", "brute"])
+def test_expect_rejects_a_negative_n(family, route, capsys):
+    args = ["expect", "--mu", "1,1", "--n", "-1", "--family", family, "--q", "1/2"]
+    code, out, err = run_cli(args + route, capsys)
+    assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
+
+
+@pytest.mark.parametrize("where", ["out-dir-missing", "out-is-a-dir", "config-missing"])
+def test_a_file_that_cannot_be_opened_exits_two(where, tmp_path, capsys):
+    flag, path = {
+        "out-dir-missing": ("--out", tmp_path / "missing" / "x"),
+        "out-is-a-dir": ("--out", tmp_path),
+        "config-missing": ("--config", tmp_path / "missing.cfg"),
+    }[where]
+    code, out, err = run_cli(["cov", "--k", "2", "--l", "2", flag, str(path)], capsys)
+    assert_one_error_line(code, out, err)
+    assert str(path) in err
+
+
+def test_config_bools_are_words_in_any_case(tmp_path, monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(
+        cli.selftest_mod, "run", lambda full=False: calls.append(full) or []
+    )
+    cfg = tmp_path / "run.cfg"
+    words = ["1", "TRUE", "Yes", "on", "0", "false", "NO", "Off"]
+    for word in words:
+        cfg.write_text(f"full = {word}\n")
+        assert run_cli(["selftest", "--config", str(cfg)], capsys)[0] == 0
+    assert calls == [True] * 4 + [False] * 4
+    cfg.write_text(CLT_CFG + "skip-gate = ture\n")
+    code, out, err = run_cli(["clt", "--config", str(cfg)], capsys)
+    assert_one_error_line(code, out, err)
+    assert "--skip-gate" in err and "'ture'" in err
+
+
+@pytest.mark.parametrize(
+    "fmt, message",
+    [
+        ("csv", "format 'csv' not supported here (use text|json)"),
+        ("text", "n must be nonnegative"),
+        ("json", "n must be nonnegative"),
+    ],
+)
+def test_basis_reports_the_format_before_the_degree(fmt, message, capsys):
+    # basis builds its matrices while it renders, after the format check;
+    # an error in the render is still one error line
+    code, out, err = run_cli(["basis", "--degree", "-1", "--format", fmt], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
