@@ -219,7 +219,7 @@ def cmd_ram(o) -> tuple[dict, int]:
     rho = o["rho"]
     to_sigma = sigma_q_in_sigma(rho)
     to_sigma_q = sigma_in_sigma_q(rho)
-    label = ",".join(map(str, rho))
+    label = partition_str(rho)
     return {
         "text": lambda: (
             f"SigmaQ[{label}] = {expansion_str(to_sigma)}\n"
