@@ -36,7 +36,6 @@ from qplancherel.observables import PRODUCT_SIZE_LIMIT, ObservableExpansion
 from qplancherel.partitions import (
     Partition,
     cycle_type,
-    falling_factorial,
     partitions_of,
     size,
     union,
@@ -261,7 +260,7 @@ def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction,
     if k > n:
         raise ValueError(f"k = {k} exceeds n = {n}")
     top = min(SHAPE_MAX_ORDER, PRODUCT_SIZE_LIMIT // k)
-    ff = falling_factorial(n, k)
+    ff = math.perm(n, k)
     moments = _moments_at((sigma_q_in_sigma((k,)),) * top, n, q0)
     return _cumulants([m / ff ** (r + 1) for r, m in enumerate(moments)])
 

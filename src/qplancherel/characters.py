@@ -27,7 +27,6 @@ from qplancherel.partitions import (
     Partition,
     beta_numbers,
     border_strips_of,
-    falling_factorial,
     hooks,
     partitions_of,
     size,
@@ -203,7 +202,7 @@ def sigma_eval(mu: Partition, lam: Partition) -> int:
     n, k = size(lam), size(mu)
     if k > n:
         return 0
-    value, rest = divmod(falling_factorial(n, k) * char_unnormalized(lam, mu), dim_of(lam))
+    value, rest = divmod(math.perm(n, k) * char_unnormalized(lam, mu), dim_of(lam))
     if rest:
         raise ArithmeticError(f"Sigma_{mu}({lam}) is not an integer")
     return value

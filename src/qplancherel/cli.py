@@ -6,9 +6,12 @@ the deformed characters (ram, qchar), expectations (expect), sampling
 (sample), limit covariances (cov, mobius), the Monte Carlo report (clt)
 and the exact identity suite (selftest).
 
-Every option can also come from a key = value config file passed with
---config; explicit command-line values win.  Numeric q is accepted as a
-decimal or an exact fraction like 1/2 and is kept exact wherever the
+Each command offers only the options it reads: --format, --out and
+--config everywhere, --seed and --workers where shapes are drawn
+(sample, clt).  Every option can also come from a key = value config
+file passed with --config; explicit command-line values win, and a clt
+run takes RunConfig's defaults for the rest.  Numeric q is accepted as
+a decimal or an exact fraction like 1/2 and is kept exact wherever the
 computation is symbolic.
 
 Output has one path.  A command computes its result and returns its
@@ -86,8 +89,6 @@ class Opt:
 
 
 GLOBAL_OPTS = [
-    Opt("seed", "int", 0, help="master seed for anything random"),
-    Opt("workers", "int", 1, help="worker processes for sampling"),
     Opt("format", "str", None, help="output format", choices=("text", "json", "csv")),
     Opt("out", "str", None, help="write output to this path instead of stdout"),
     Opt("config", "str", None, help="key = value file supplying defaults"),
@@ -164,11 +165,9 @@ def _value_forms(o, value: str, *names) -> tuple[dict, int]:
 
 def cmd_measure(o) -> tuple[dict, int]:
     n = o["n"]
-    if o["symbolic"]:
+    if o["q"] is None:
         rows = [(partition_str(lam), str(v)) for lam, v in measure_table(n).items()]
     else:
-        if o["q"] is None:
-            raise CliError("measure needs --q unless --symbolic is given")
         parts, probs = measure_probabilities(n, float(o["q"]))
         rows = [(partition_str(lam), repr(float(p))) for lam, p in zip(parts, probs)]
     return {
@@ -176,7 +175,7 @@ def cmd_measure(o) -> tuple[dict, int]:
         "json": lambda: {
             "n": n,
             "q": None if o["q"] is None else str(o["q"]),
-            "symbolic": bool(o["symbolic"]),
+            "symbolic": o["q"] is None,
             "rows": [{"partition": p, "probability": v} for p, v in rows],
         },
     }, 0
@@ -346,20 +345,10 @@ def cmd_basis(o) -> tuple[dict, int]:
 
 
 def cmd_clt(o) -> tuple[dict, int]:
-    cfg = RunConfig(
-        n=o["n"],
-        q=float(o["q"]),
-        num_samples=o["count"],
-        ks=o["ks"],
-        seed=o["seed"],
-        sampler=o["sampler"],
-        workers=o["workers"],
-        bootstrap=o["bootstrap"],
-        skip_gate=o["skip_gate"],
-        gate_n=o["gate_n"],
-        gate_draws=o["gate_draws"],
-    )
-    report = run_clt(cfg)
+    # RunConfig holds the run defaults: pass it only the values given
+    fields = ("ks", "seed", "sampler", "workers", "bootstrap", "skip_gate", "gate_draws")
+    given = {f: o[f] for f in fields if o[f] is not None}
+    report = run_clt(RunConfig(n=o["n"], q=float(o["q"]), num_samples=o["count"], **given))
     return {"json": report.to_json, "csv": report.to_csv}, 0
 
 
@@ -381,8 +370,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
         "measure table at rank n",
         [
             Opt("n", "int", required=True),
-            Opt("q", "q"),
-            Opt("symbolic", "bool", False, help="exact rational functions of q"),
+            Opt("q", "q", help="floats at this q; exact rational functions of q if omitted"),
         ],
         cmd_measure,
     ),
@@ -437,6 +425,8 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("count", "int", 1000),
             Opt("method", "str", "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
             Opt("stats", "ks", help="aggregate W statistics for these k instead"),
+            Opt("seed", "int", 0, help="master seed for anything random"),
+            Opt("workers", "int", 1, help="worker processes for sampling"),
         ],
         cmd_sample,
     ),
@@ -472,12 +462,13 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
             Opt("n", "int", required=True),
             Opt("q", "q", required=True),
             Opt("count", "int", 20_000),
-            Opt("ks", "ks", (2, 3)),
-            Opt("sampler", "str", "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
-            Opt("bootstrap", "int", 1000),
-            Opt("skip-gate", "bool", False, help="waive the sampler fit gate"),
-            Opt("gate-n", "int", 6),
-            Opt("gate-draws", "int", 20_000),
+            Opt("ks", "ks"),
+            Opt("sampler", "str", choices=tuple(SAMPLER_CHUNK_FNS)),
+            Opt("bootstrap", "int"),
+            Opt("skip-gate", "bool", help="waive the sampler fit gate"),
+            Opt("gate-draws", "int"),
+            Opt("seed", "int", help="master seed for anything random"),
+            Opt("workers", "int", help="worker processes for sampling"),
         ],
         cmd_clt,
     ),

@@ -7,7 +7,9 @@ with exact rational-function coefficients:
     (q-1)^len(rho) Sigma_{rho,q} = sum_nu ((q^nu - 1)/z_nu) <p_nu|h_rho> Sigma_nu
     (q^rho - 1)    Sigma_rho     = sum_nu (q-1)^len(nu) <m_nu|p_rho> Sigma_{nu,q}
 
-where q^nu - 1 is the product of (q^{nu_i} - 1) over the parts.
+where q^nu - 1 is the product of (q^{nu_i} - 1) over the parts, and the
+Hall pairings are coefficients: <p_nu|h_rho> / z_nu = [p_nu] h_rho and
+<m_nu|p_rho> = [h_nu] p_rho.
 
 `q_char_normalized` reads the first expansion at a shape: the normalized
 q-character, symbolic in q, exact at a rational q, or a float from the
@@ -21,9 +23,9 @@ from functools import cache, lru_cache
 
 from qplancherel.characters import char_normalized, char_normalized_float
 from qplancherel.observables import ObservableExpansion
-from qplancherel.partitions import Partition, partitions_of, size, z_of
+from qplancherel.partitions import Partition, partitions_of, size
 from qplancherel.ratfunc import QRat, one_minus_q_pow
-from qplancherel.symfunc import scalar_mp, scalar_ph
+from qplancherel.symfunc import h_in_p, p_in_h
 
 
 @cache
@@ -37,13 +39,12 @@ def sigma_q_in_sigma(rho: Partition) -> ObservableExpansion:
     lr = len(rho)
     denom = QRat(one_minus_q_pow((1,) * lr))  # (1-q)^len(rho)
     terms = {}
+    h_rho = h_in_p(rho)
     for nu in partitions_of(k):
-        pairing = scalar_ph(nu, rho)
-        if pairing == 0:
+        if nu not in h_rho:
             continue
         sign = -1 if (len(nu) - lr) % 2 else 1
-        num = QRat(one_minus_q_pow(nu)) * Fraction(sign * pairing, z_of(nu))
-        terms[nu] = num / denom
+        terms[nu] = QRat(one_minus_q_pow(nu)) * (sign * h_rho[nu]) / denom
     return ObservableExpansion(terms)
 
 
@@ -57,13 +58,12 @@ def sigma_in_sigma_q(rho: Partition) -> ObservableExpansion:
     lr = len(rho)
     denom = QRat(one_minus_q_pow(rho))  # up to sign, q^rho - 1
     terms = {}
+    p_rho = p_in_h(rho)
     for nu in partitions_of(size(rho)):
-        pairing = scalar_mp(nu, rho)
-        if pairing == 0:
+        if nu not in p_rho:
             continue
         sign = -1 if (len(nu) - lr) % 2 else 1
-        num = QRat(one_minus_q_pow((1,) * len(nu))) * (sign * pairing)
-        terms[nu] = num / denom
+        terms[nu] = QRat(one_minus_q_pow((1,) * len(nu))) * (sign * p_rho[nu]) / denom
     return ObservableExpansion(terms)
 
 

@@ -49,7 +49,6 @@ from qplancherel.partitions import (
     added_row,
     conjugate,
     covers_of,
-    falling_factorial,
     hooks,
     n_stat,
     partitions_of,
@@ -136,8 +135,10 @@ def check_q(q0: float) -> None:
         raise ValueError(f"q must be finite, positive and != 1, got q = {q0!r}")
 
 
+@cache
 def measure_probabilities(n: int, q0: float) -> tuple[tuple[Partition, ...], np.ndarray]:
-    """Float measure vector at numeric q, computed in log space."""
+    """Float measure vector at numeric q, computed in log space; cached,
+    so the array is read-only."""
     check_q(q0)
     parts = partitions_of(n)
     logq = math.log(q0)
@@ -152,6 +153,7 @@ def measure_probabilities(n: int, q0: float) -> tuple[tuple[Partition, ...], np.
     logs -= logs.max()
     probs = np.exp(logs)
     probs /= probs.sum()
+    probs.flags.writeable = False
     return parts, probs
 
 
@@ -160,7 +162,7 @@ def expectation_sigma(mu: Partition, n: int) -> QRat:
     if n < 0:
         raise ValueError("n must be nonnegative")
     k = size(mu)
-    ff = falling_factorial(n, k)
+    ff = math.perm(n, k)
     if ff == 0:
         return QRat(0)
     num = one_minus_q_pow((1,) * k) * ff
@@ -173,7 +175,7 @@ def expectation_sigma_q(mu: Partition, n: int) -> QRat:
         raise ValueError("n must be nonnegative")
     if any(p != 1 for p in mu):
         return QRat(0)
-    return QRat(falling_factorial(n, size(mu)))
+    return QRat(math.perm(n, size(mu)))
 
 
 def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
@@ -226,18 +228,13 @@ def sample_exact_chunk(
     """Inverse-CDF draws from the fully enumerated measure table."""
     if n > EXACT_SAMPLER_MAX_N:
         raise ValueError(f"n = {n} exceeds exact-sampler guard {EXACT_SAMPLER_MAX_N}")
-    parts, probs = _exact_table_cached(n, q0)
+    parts, probs = measure_probabilities(n, q0)
     cdf = np.cumsum(probs)
     rng = chunk_generator(seed, 0, chunk_index)
     us = rng.random(m)
     idx = np.searchsorted(cdf, us, side="right")
     idx = np.minimum(idx, len(parts) - 1)
     return [parts[i] for i in idx]
-
-
-@cache
-def _exact_table_cached(n: int, q0: float):
-    return measure_probabilities(n, q0)
 
 
 def _row_capacities(n: int, rows: int) -> np.ndarray:

@@ -61,6 +61,8 @@ BOOTSTRAP_DEFAULT = 1000
 # per resample (1.13 s); chunks of 8 and 16 were no faster and raised it
 # by 1.7 and 3.1 MB, and chunks of 1 took 0.22 s
 BOOTSTRAP_CHUNK = 4
+# the gate fits the partitions of GATE_N (11 of them), or of n if smaller
+GATE_N = 6
 GATE_P_MIN = 1e-3
 MIN_EXPECTED_PER_BIN = 5.0
 
@@ -89,7 +91,6 @@ class RunConfig:
     workers: int = 1
     bootstrap: int = BOOTSTRAP_DEFAULT
     skip_gate: bool = False
-    gate_n: int = 6
     gate_draws: int = 20_000
 
     def __post_init__(self):
@@ -107,8 +108,6 @@ class RunConfig:
             raise ValueError("workers must be >= 1")
         if self.bootstrap < 0:
             raise ValueError("bootstrap resample count must be >= 0")
-        if self.gate_n < 2:
-            raise ValueError(f"gate_n must be >= 2, got {self.gate_n}")
         if self.gate_draws < 1:
             raise ValueError(f"gate_draws must be >= 1, got {self.gate_draws}")
 
@@ -147,8 +146,14 @@ def sample_partitions(
     any worker assignment yields the same sequence.
     """
     check_q(q0)
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if method not in SAMPLER_CHUNK_FNS:
+        raise ValueError(f"unknown sampler {method!r}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = [(method, n, q0, seed, j, m) for j, m in _iter_chunks(count)]
-    if workers <= 1 or len(tasks) <= 1:
+    if workers == 1 or len(tasks) <= 1:
         done = [_chunk_task(t) for t in tasks]
     else:
         with Pool(min(workers, len(tasks))) as pool:
@@ -464,7 +469,7 @@ def run_clt(config: RunConfig) -> CltReport:
     if not config.skip_gate:
         gate = validate_sampler(
             config.sampler,
-            min(config.gate_n, config.n),
+            min(GATE_N, config.n),
             config.q,
             config.gate_draws,
             config.seed,

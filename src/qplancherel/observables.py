@@ -14,6 +14,7 @@ products.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from operator import mul
@@ -23,8 +24,6 @@ from qplancherel.characters import character_table, sigma_eval
 from qplancherel.partitions import (
     Partition,
     cycle_type,
-    falling_factorial,
-    multiplicities,
     partitions_of,
     set_partitions_of,
     size,
@@ -156,7 +155,7 @@ def product_sigma(mu: Partition, nu: Partition) -> ObservableExpansion:
     coeffs: dict[Partition, int] = {}
     for m in range(max(k, l), k + l + 1):
         columns = _table_columns(m)
-        fk, fl = falling_factorial(m, k), falling_factorial(m, l)
+        fk, fl = math.perm(m, k), math.perm(m, l)
         # Sigma_mu(lam) = m^(falling k) chi^lam(mu 1^(m-k)) / dim lam is an
         # integer (`sigma_eval`), so each v_lam is an exact quotient
         mu_col, nu_col = columns[mu + (1,) * (m - k)], columns[nu + (1,) * (m - l)]
@@ -189,12 +188,12 @@ def class_sum_coefficient(mu: Partition, n: int) -> int:
     k = size(mu)
     if k > n:
         return 0
-    mults = multiplicities(mu)
+    mults = Counter(mu)
     coeff = 1
     for s, m in mults.items():
         if s >= 2:
             coeff *= s**m * math.factorial(m)
-    m1 = mults.get(1, 0)
+    m1 = mults[1]
     # the 1s of mu land among the n-k fixed points
     for t in range(m1):
         coeff *= n - k + m1 - t

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
@@ -76,33 +77,16 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def multiplicities(lam: Partition) -> dict[int, int]:
-    m: dict[int, int] = {}
-    for p in lam:
-        m[p] = m.get(p, 0) + 1
-    return m
-
-
 def z_of(nu: Partition) -> int:
     """z_nu = prod_i i^{m_i} m_i!; the centralizer order of cycle type nu."""
     z = 1
-    for part, m in multiplicities(nu).items():
+    for part, m in Counter(nu).items():
         z *= part**m * math.factorial(m)
     return z
 
 
 def size(lam: Partition) -> int:
     return sum(lam)
-
-
-def falling_factorial(n: int, k: int) -> int:
-    """n(n-1)...(n-k+1); equals 0 whenever 0 <= n < k."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
 
 
 def conjugate(lam: Partition) -> Partition:

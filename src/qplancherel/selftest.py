@@ -13,6 +13,7 @@ deliberately mutated route is caught and named by the summary.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import asdict, dataclass, replace
@@ -44,7 +45,7 @@ from qplancherel.observables import (
     project_to_class_sums,
     transitive_cumulant_oracle,
 )
-from qplancherel.partitions import conjugate, falling_factorial, partitions_of
+from qplancherel.partitions import conjugate, partitions_of
 from qplancherel.ratfunc import QRat, ZERO, qrat_sum
 
 HALF = Fraction(1, 2)
@@ -294,7 +295,7 @@ def product_rule_cumulants(
     """Oracle for `asymptotics.q_char_cumulants_at`: joint cumulants of r
     copies of Sigma_{k,q} / n^(falling k), multiplied out by the product
     rule and averaged by the closed expectation formula, r = 1..orders."""
-    scale = Fraction(1, falling_factorial(n, k))
+    scale = Fraction(1, math.perm(n, k))
     x = ObservableExpansion(
         {nu: c.eval_at(q0) * scale for nu, c in sigma_q_in_sigma((k,)).terms.items()}
     )
@@ -326,7 +327,7 @@ def check_float_characters_two_routes() -> CheckResult:
                 continue
             for lam in partitions_of(n):
                 fast = char_normalized_float(lam, rho)
-                exact = float(sigma_eval(rho, lam) / falling_factorial(n, m))
+                exact = float(sigma_eval(rho, lam) / math.perm(n, m))
                 if fast != exact:
                     return _fail(name, f"rho={rho} lam={lam}: {fast!r} != {exact!r}")
     return _ok(name, "correctly rounded on all lam of 10 for |rho| <= 5")

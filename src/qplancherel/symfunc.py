@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 
-from qplancherel.partitions import Partition, partitions_of, size, union, z_of
+from qplancherel.partitions import Partition, partitions_of, union, z_of
 
 
 def _clean(coeffs: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
@@ -61,20 +61,6 @@ def p_in_h(rho: Partition) -> dict[Partition, Fraction]:
     for part in rho:
         acc = _mul(acc, dict(_p_part_in_h(part)))
     return acc
-
-
-def scalar_ph(nu: Partition, rho: Partition) -> Fraction:
-    """Hall pairing <p_nu, h_rho> = z_nu * [p_nu] h_rho."""
-    if size(nu) != size(rho):
-        raise ValueError(f"degree mismatch: |{nu}| != |{rho}|")
-    return z_of(nu) * h_in_p(rho).get(nu, Fraction(0))
-
-
-def scalar_mp(nu: Partition, rho: Partition) -> Fraction:
-    """Hall pairing <m_nu, p_rho>, read off via <m_nu, h_kappa> = delta."""
-    if size(nu) != size(rho):
-        raise ValueError(f"degree mismatch: |{nu}| != |{rho}|")
-    return p_in_h(rho).get(nu, Fraction(0))
 
 
 def transition_matrix(k: int, which: str) -> dict[Partition, dict[Partition, Fraction]]:

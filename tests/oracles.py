@@ -38,7 +38,6 @@ from qplancherel.partitions import (
     beta_numbers,
     covers_of,
     cycle_type,
-    falling_factorial,
     partitions_of,
     size,
     z_of,
@@ -326,7 +325,7 @@ def moment_differences_by_fractions(
             weight = w.eval_at(q0)
             values = [
                 sum(
-                    c * falling_factorial(m, size(nu)) * char_normalized(lam, nu)
+                    c * math.perm(m, size(nu)) * char_normalized(lam, nu)
                     for nu, c in cs
                     if size(nu) <= m
                 )

@@ -18,6 +18,7 @@ import pytest
 
 from qplancherel import cli
 from qplancherel.measure import expectation_sigma, measure_table
+from qplancherel.montecarlo import RunConfig
 from qplancherel.selftest import CheckResult
 
 
@@ -37,11 +38,18 @@ def test_measure_csv_probabilities_sum_to_one(capsys):
 
 
 def test_measure_symbolic_matches_table(capsys):
-    code, out, _ = run_cli(["measure", "--n", "3", "--symbolic"], capsys)
+    # without --q, measure prints the symbolic table
+    code, out, _ = run_cli(["measure", "--n", "3"], capsys)
     assert code == 0
     rows = {r["partition"]: r["probability"] for r in csv.DictReader(io.StringIO(out))}
     table = {",".join(map(str, lam)): str(v) for lam, v in measure_table(3).items()}
     assert rows == table
+    code, out, _ = run_cli(["measure", "--n", "3", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["symbolic"] is True and payload["q"] is None
+    assert {r["partition"]: r["probability"] for r in payload["rows"]} == table
+    _, out, _ = run_cli(["measure", "--n", "3", "--q", "1/2", "--format", "json"], capsys)
+    assert json.loads(out)["symbolic"] is False
 
 
 def test_q_accepts_fraction_and_decimal(capsys):
@@ -166,8 +174,7 @@ def test_clt_csv_format(capsys):
 
 @pytest.mark.parametrize(
     "flag, value, field",
-    [("--gate-n", "1", "gate_n"), ("--gate-n", "0", "gate_n"), ("--gate-n", "-3", "gate_n"),
-     ("--gate-draws", "0", "gate_draws"), ("--gate-draws", "-5", "gate_draws")],
+    [("--gate-draws", "0", "gate_draws"), ("--gate-draws", "-5", "gate_draws")],
 )
 def test_clt_rejects_a_gate_that_cannot_test(flag, value, field, capsys):
     code, out, err = run_cli(CLT_ARGS + [flag, value], capsys)
@@ -394,3 +401,80 @@ def test_basis_reports_the_format_before_the_degree(fmt, message, capsys):
     # an error in the render is still one error line
     code, out, err = run_cli(["basis", "--degree", "-1", "--format", fmt], capsys)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--mu", "3", "--nu", "2", "--seed", "5"],
+        ["product", "--mu", "3", "--nu", "2", "--workers", "2"],
+        ["measure", "--n", "3", "--symbolic"],
+        CLT_ARGS + ["--gate-n", "6"],
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_only_the_drawing_commands_offer_seed_and_workers():
+    offering = {
+        name
+        for name, (_, opts, _) in cli.COMMANDS.items()
+        if {"seed", "workers"} <= {opt.name for opt in opts + cli.GLOBAL_OPTS}
+    }
+    assert offering == {"sample", "clt"}
+
+
+def test_sample_and_clt_read_seed_and_workers(capsys):
+    args = ["sample", "--n", "8", "--q", "1/2", "--count", "2100", "--method", "rsk"]
+    _, serial, _ = run_cli(args + ["--seed", "3"], capsys)
+    _, pooled, _ = run_cli(args + ["--seed", "3", "--workers", "2"], capsys)
+    _, other, _ = run_cli(args + ["--seed", "4", "--workers", "2"], capsys)
+    assert serial == pooled != other
+    pooled = json.loads(run_cli(CLT_ARGS + ["--workers", "2"], capsys)[1])
+    serial = json.loads(run_cli(CLT_ARGS, capsys)[1])
+    assert pooled["config"]["workers"] == 2
+    pooled["config"]["workers"] = 1
+    assert pooled == serial
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--count", "-3"], "count must be >= 0, got -3"),
+        (["--workers", "0"], "workers must be >= 1"),
+        (["--workers", "-5"], "workers must be >= 1"),
+    ],
+)
+def test_sample_rejects_a_count_or_worker_number_it_cannot_use(flags, message, capsys):
+    args = ["sample", "--n", "6", "--q", "1/2", "--count", "3", "--method", "exact"]
+    code, out, err = run_cli(args + flags, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_sample_rejects_an_unknown_method_from_a_config_file(tmp_path, capsys):
+    # on the command line argparse refuses it; a config file reaches main
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("method = magic\n")
+    code, out, err = run_cli(["sample", "--n", "6", "--q", "1/2", "--config", str(cfg)], capsys)
+    assert_one_error_line(code, out, err)
+    assert "--method must be one of" in err
+
+
+def test_clt_defaults_are_run_configs(capsys):
+    base = ["clt", "--n", "10", "--q", "1/2", "--count", "600", "--gate-draws", "3000"]
+    defaults = RunConfig(n=10, q=0.5, num_samples=600)
+    given = [
+        "--ks", ",".join(map(str, defaults.ks)),
+        "--sampler", defaults.sampler,
+        "--bootstrap", str(defaults.bootstrap),
+        "--seed", str(defaults.seed),
+        "--workers", str(defaults.workers),
+    ]
+    _, implicit, _ = run_cli(base, capsys)
+    _, explicit, _ = run_cli(base + given, capsys)
+    assert implicit == explicit
+    assert "gate_n" not in json.loads(implicit)["config"]

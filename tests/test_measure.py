@@ -104,6 +104,13 @@ class TestMeasureValues:
         for lam, p in zip(parts, probs):
             assert p == pytest.approx(float(measure_value(lam).eval_at(qr)), rel=1e-9)
 
+    def test_float_table_is_one_shared_read_only_array(self):
+        # the gate and the exact sampler read the same cached table
+        parts, probs = measure_probabilities(6, 0.5)
+        assert measure_probabilities(6, 0.5)[1] is probs
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0] = 0.0
+
 
 class TestExpectations:
     def test_sigma_two_at_n_two(self):

