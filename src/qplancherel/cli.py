@@ -19,8 +19,8 @@ forms, {format: zero-argument render}, default format first, with its
 exit code.  main checks --format against those keys, calls only the
 chosen render, dumps a dict it returns as JSON (sorted keys, indent 2,
 trailing newline), and writes the text once, to stdout or --out.  Any
-error on the way, a file that cannot be opened included, is one
-"error: ..." line on stderr and exit code 2.
+error on the way, argparse's refusals and a file that cannot be opened
+included, is one "error: ..." line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -71,11 +71,17 @@ from qplancherel.observables import (
     product_sigma,
 )
 from qplancherel.partitions import parse_partition, partition_str, partitions_of
-from qplancherel.symfunc import transition_matrix
+from qplancherel.symfunc import h_in_p, p_in_h, transition_matrix
 
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    # a refusal is a CliError for main to report; its subparsers inherit this
+    def error(self, message):
+        raise CliError(message)
 
 
 @dataclass(frozen=True)
@@ -279,7 +285,7 @@ def cmd_sample(o) -> tuple[dict, int]:
         }, 0
     lines = [partition_str(lam) for lam in shapes]
     return {
-        "text": lambda: "\n".join(lines) + "\n",
+        "text": lambda: "".join(line + "\n" for line in lines),
         "csv": lambda: _csv_table(["partition"], [[x] for x in lines]),
     }, 0
 
@@ -313,11 +319,12 @@ def cmd_mobius(o) -> tuple[dict, int]:
     }, 0
 
 
+_TRANSITIONS = {"h_in_p": h_in_p, "p_in_h": p_in_h}
+
+
 def cmd_basis(o) -> tuple[dict, int]:
     k = o["degree"]
-    which = (
-        ("h_in_p", "p_in_h") if o["which"] == "both" else (o["which"],)
-    )
+    which = tuple(_TRANSITIONS) if o["which"] == "both" else (o["which"],)
 
     def matrices():
         # labelled entries, built by the renders, so that an unoffered
@@ -327,7 +334,7 @@ def cmd_basis(o) -> tuple[dict, int]:
                 partition_str(nu): {
                     partition_str(rho): str(c) for rho, c in row.items()
                 }
-                for nu, row in transition_matrix(k, name).items()
+                for nu, row in transition_matrix(k, _TRANSITIONS[name]).items()
             }
             for name in which
         }
@@ -355,8 +362,8 @@ def cmd_clt(o) -> tuple[dict, int]:
 def cmd_selftest(o) -> tuple[dict, int]:
     results = selftest_mod.run(full=o["full"])
     return {
-        "text": lambda: selftest_mod.render(results, "text"),
-        "json": lambda: selftest_mod.render(results, "json"),
+        "text": lambda: selftest_mod.render(results),
+        "json": lambda: selftest_mod.summary(results),
     }, 0 if all(r.passed for r in results) else 1
 
 
@@ -452,7 +459,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
         "transition matrices between the p and h bases",
         [
             Opt("degree", "int", required=True),
-            Opt("which", "str", "both", choices=("h_in_p", "p_in_h", "both")),
+            Opt("which", "str", "both", choices=(*_TRANSITIONS, "both")),
         ],
         cmd_basis,
     ),
@@ -476,7 +483,7 @@ COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qplancherel",
         description="exact character toolkit with seeded Monte Carlo checks",
     )
@@ -484,21 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, opts, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for opt in opts + GLOBAL_OPTS:
-            flag = "--" + opt.name
-            dest = opt.name.replace("-", "_")
+            kwargs = dict(dest=opt.name.replace("-", "_"), default=None, help=opt.help)
             if opt.kind == "bool":
-                p.add_argument(
-                    flag,
-                    dest=dest,
-                    action=argparse.BooleanOptionalAction,
-                    default=None,
-                    help=opt.help,
-                )
-            else:
-                kwargs = dict(dest=dest, default=None, help=opt.help)
-                if opt.choices:
-                    kwargs["choices"] = opt.choices
-                p.add_argument(flag, **kwargs)
+                kwargs["action"] = argparse.BooleanOptionalAction
+            if opt.choices:
+                kwargs["choices"] = opt.choices
+            p.add_argument("--" + opt.name, **kwargs)
     return parser
 
 
@@ -523,10 +521,9 @@ def _resolve_options(args: argparse.Namespace, opts: list[Opt]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _, opts, handler = COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        _, opts, handler = COMMANDS[args.command]
         resolved = _resolve_options(args, opts)
         forms, code = handler(resolved)
         fmt = resolved["format"] or next(iter(forms))

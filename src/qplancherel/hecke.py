@@ -9,7 +9,8 @@ with exact rational-function coefficients:
 
 where q^nu - 1 is the product of (q^{nu_i} - 1) over the parts, and the
 Hall pairings are coefficients: <p_nu|h_rho> / z_nu = [p_nu] h_rho and
-<m_nu|p_rho> = [h_nu] p_rho.
+<m_nu|p_rho> = [h_nu] p_rho.  One routine, `_ram`, writes both: each is
+the other with the pairing and the two (1 - q^.) factors swapped.
 
 `q_char_normalized` reads the first expansion at a shape: the normalized
 q-character, symbolic in q, exact at a rational q, or a float from the
@@ -28,6 +29,20 @@ from qplancherel.ratfunc import QRat, one_minus_q_pow
 from qplancherel.symfunc import h_in_p, p_in_h
 
 
+def _ram(rho: Partition, pairing, top, bottom: Partition) -> ObservableExpansion:
+    """Ram's rule, both directions: the sum over nu of
+    (-1)^(len(nu)-len(rho)) (1-q^top(nu)) / (1-q^bottom) pairing(rho)[nu],
+    in the order of `partitions_of`."""
+    denom = QRat(one_minus_q_pow(bottom))
+    coeffs = pairing(rho)
+    terms = {}
+    for nu in partitions_of(size(rho)):
+        if nu in coeffs:
+            sign = -1 if (len(nu) - len(rho)) % 2 else 1
+            terms[nu] = QRat(one_minus_q_pow(top(nu))) * (sign * coeffs[nu]) / denom
+    return ObservableExpansion(terms)
+
+
 @cache
 def sigma_q_in_sigma(rho: Partition) -> ObservableExpansion:
     """Sigma_{rho,q} expanded over the plain symbols Sigma_nu.
@@ -35,17 +50,7 @@ def sigma_q_in_sigma(rho: Partition) -> ObservableExpansion:
     The (q-1)^len(rho) factor divides out; the resulting coefficients
     reduce to polynomials in q.
     """
-    k = size(rho)
-    lr = len(rho)
-    denom = QRat(one_minus_q_pow((1,) * lr))  # (1-q)^len(rho)
-    terms = {}
-    h_rho = h_in_p(rho)
-    for nu in partitions_of(k):
-        if nu not in h_rho:
-            continue
-        sign = -1 if (len(nu) - lr) % 2 else 1
-        terms[nu] = QRat(one_minus_q_pow(nu)) * (sign * h_rho[nu]) / denom
-    return ObservableExpansion(terms)
+    return _ram(rho, h_in_p, lambda nu: nu, (1,) * len(rho))
 
 
 @cache
@@ -55,16 +60,7 @@ def sigma_in_sigma_q(rho: Partition) -> ObservableExpansion:
     Index partitions stand for Sigma_{nu,q}; coefficients have poles
     only where q^rho = 1.
     """
-    lr = len(rho)
-    denom = QRat(one_minus_q_pow(rho))  # up to sign, q^rho - 1
-    terms = {}
-    p_rho = p_in_h(rho)
-    for nu in partitions_of(size(rho)):
-        if nu not in p_rho:
-            continue
-        sign = -1 if (len(nu) - lr) % 2 else 1
-        terms[nu] = QRat(one_minus_q_pow((1,) * len(nu))) * (sign * p_rho[nu]) / denom
-    return ObservableExpansion(terms)
+    return _ram(rho, p_in_h, lambda nu: (1,) * len(nu), rho)
 
 
 def ram_round_trip(rho: Partition) -> ObservableExpansion:

@@ -391,24 +391,8 @@ class CltReport:
     all_passed: bool
     version: str
 
-    def as_dict(self) -> dict:
-        d = {
-            "version": self.version,
-            "config": asdict(self.config) | {"ks": list(self.config.ks)},
-            "gate": None if self.gate is None else asdict(self.gate),
-            "estimate": asdict(self.estimate)
-            | {
-                "cov": [list(r) for r in self.estimate.cov],
-                "cov_ci": [list(e) for e in self.estimate.cov_ci],
-            },
-            "theory_cov": [list(r) for r in self.theory_cov],
-            "checks": [asdict(c) for c in self.checks],
-            "all_passed": self.all_passed,
-        }
-        return d
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -417,12 +401,8 @@ class CltReport:
         ks = self.config.ks
         est = self.estimate
         for i, k in enumerate(ks):
-            w.writerow(["coordinate", k, "", "mean", repr(est.mean[i])])
-            w.writerow(["coordinate", k, "", "mean_se", repr(est.mean_se[i])])
-            w.writerow(["coordinate", k, "", "skewness", repr(est.skewness[i])])
-            w.writerow(
-                ["coordinate", k, "", "excess_kurtosis", repr(est.excess_kurtosis[i])]
-            )
+            for field in ("mean", "mean_se", "skewness", "excess_kurtosis"):
+                w.writerow(["coordinate", k, "", field, repr(getattr(est, field)[i])])
         for i, k in enumerate(ks):
             for j in range(i, len(ks)):
                 w.writerow(["cov", k, ks[j], "empirical", repr(est.cov[i][j])])

@@ -7,12 +7,13 @@ the two sampling suites (goodness of fit of the samplers and the
 desk-scale normality run).
 
 Route functions are resolved on their modules at call time, so a
-deliberately mutated route is caught and named by the summary.
+deliberately mutated route is caught and named by the summary.  A check
+is named once, by its function: `run` takes its result's name from it.
+`render` gives the text form; `summary` is the dict of the JSON form.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -53,87 +54,82 @@ HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """A check's verdict.  `run` names it after the check function, less
+    `check_`; a check called directly returns it unnamed."""
+
     name: str
     passed: bool
     detail: str = ""
     seconds: float = 0.0  # wall time of the check, set by `run`
 
 
-def _ok(name: str, detail: str = "") -> CheckResult:
-    return CheckResult(name, True, detail)
+def _ok(detail: str = "") -> CheckResult:
+    return CheckResult("", True, detail)
 
 
-def _fail(name: str, detail: str) -> CheckResult:
-    return CheckResult(name, False, detail)
+def _fail(detail: str) -> CheckResult:
+    return CheckResult("", False, detail)
 
 
 # ---------------------------------------------------------------------------
 # individual checks
 
 def check_measure_normalization() -> CheckResult:
-    name = "measure_normalization"
     for n in range(1, 11):
         total = qrat_sum(measure_table(n).values())
         if total != QRat(1):
-            return _fail(name, f"sum over partitions of {n} is {total}")
-    return _ok(name, "n <= 10")
+            return _fail(f"sum over partitions of {n} is {total}")
+    return _ok("n <= 10")
 
 
-def _check_expectations(name: str, symbol, closed_form) -> CheckResult:
+def _check_expectations(symbol, closed_form) -> CheckResult:
     # enumeration over the measure table against the closed form
     for k in range(1, 6):
         for mu in partitions_of(k):
             for n in range(1, 11):
                 if expectation_brute(symbol(mu), n) != closed_form(mu, n):
-                    return _fail(name, f"mu={mu} n={n}")
-    return _ok(name, "|mu| <= 5, n <= 10")
+                    return _fail(f"mu={mu} n={n}")
+    return _ok("|mu| <= 5, n <= 10")
 
 
 def check_expectation_formula() -> CheckResult:
-    sigma = ObservableExpansion.sigma
-    return _check_expectations("expectation_formula", sigma, expectation_sigma)
+    return _check_expectations(ObservableExpansion.sigma, expectation_sigma)
 
 
 def check_expectation_q_formula() -> CheckResult:
-    return _check_expectations(
-        "expectation_q_formula", sigma_q_in_sigma, expectation_sigma_q
-    )
+    return _check_expectations(sigma_q_in_sigma, expectation_sigma_q)
 
 
 def check_ram_round_trip() -> CheckResult:
-    name = "ram_round_trip"
     for k in range(1, 7):
         for rho in partitions_of(k):
             if ram_round_trip(rho) != ObservableExpansion.sigma(rho):
-                return _fail(name, f"rho={rho}")
-    return _ok(name, "|rho| <= 6")
+                return _fail(f"rho={rho}")
+    return _ok("|rho| <= 6")
 
 
 def check_q_one_specialization() -> CheckResult:
-    name = "q_one_specialization"
     one = Fraction(1)
     for n in range(1, 9):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
                 for mu in partitions_of(k):
                     if q_char_normalized(lam, mu, one) != char_normalized(lam, mu):
-                        return _fail(name, f"lam={lam} mu={mu}")
-    return _ok(name, "n <= 8")
+                        return _fail(f"lam={lam} mu={mu}")
+    return _ok("n <= 8")
 
 
 def check_product_worked_example() -> CheckResult:
-    name = "product_worked_example"
     want = ObservableExpansion(
         {(3, 2): QRat(1), (4,): QRat(6), (2, 1): QRat(6)}
     )
     got = product_sigma((3,), (2,))
     if got != want:
-        return _fail(name, f"Sigma_3 Sigma_2 = {got.terms}")
-    return _ok(name)
+        return _fail(f"Sigma_3 Sigma_2 = {got.terms}")
+    return _ok()
 
 
 def check_projection_convolution() -> CheckResult:
-    name = "projection_convolution"
     sigma = ObservableExpansion.sigma
     for j in range(1, 8):
         for k in range(1, 9 - j):
@@ -150,8 +146,8 @@ def check_projection_convolution() -> CheckResult:
                                     rhs[tc] = rhs.get(tc, ZERO) + ca * cb * mult
                         rhs = {t: c for t, c in rhs.items() if not c.is_zero()}
                         if lhs != rhs:
-                            return _fail(name, f"mu={mu} nu={nu} n={n}")
-    return _ok(name, "|mu|+|nu| <= 8, n <= 8")
+                            return _fail(f"mu={mu} nu={nu} n={n}")
+    return _ok("|mu|+|nu| <= 8, n <= 8")
 
 
 def _random_cubics(count: int = 20) -> list[list[Fraction]]:
@@ -163,28 +159,25 @@ def _random_cubics(count: int = 20) -> list[list[Fraction]]:
 
 
 def check_mobius_inversion() -> CheckResult:
-    name = "mobius_inversion"
     for coeffs in _random_cubics():
         f = asymptotics.poly_class_function(coeffs)
         for n in range(2, 11):
             if asymptotics.mobius_brute(f, n) != asymptotics.mobius_closed(f, n):
-                return _fail(name, f"coeffs={coeffs} n={n}")
-    return _ok(name, "20 random cubics, n <= 10")
+                return _fail(f"coeffs={coeffs} n={n}")
+    return _ok("20 random cubics, n <= 10")
 
 
 def check_mobius_permutation_form() -> CheckResult:
-    name = "mobius_permutation_form"
     for coeffs in _random_cubics():
         f = asymptotics.poly_class_function(coeffs)
         for n in range(2, 8):
             if asymptotics.mobius_perm_brute(f, n) != asymptotics.mobius_brute(f, n):
-                return _fail(name, f"coeffs={coeffs} n={n}")
-    return _ok(name, "20 random cubics, n <= 7")
+                return _fail(f"coeffs={coeffs} n={n}")
+    return _ok("20 random cubics, n <= 7")
 
 
 def check_three_route_covariance() -> CheckResult:
     # late attribute lookup: a mutated route function is picked up here
-    name = "three_route_covariance"
     routes = {
         "closed": asymptotics.cov_closed_form,
         "doublesum": asymptotics.cov_double_sum,
@@ -202,14 +195,13 @@ def check_three_route_covariance() -> CheckResult:
             ]
             if len(odd) == 1:
                 return _fail(
-                    name, f"route {odd[0]!r} disagrees with the others at (k,l)=({k},{l})"
+                    f"route {odd[0]!r} disagrees with the others at (k,l)=({k},{l})"
                 )
-            return _fail(name, f"all routes disagree at (k,l)=({k},{l})")
-    return _ok(name, "2 <= k,l <= 5")
+            return _fail(f"all routes disagree at (k,l)=({k},{l})")
+    return _ok("2 <= k,l <= 5")
 
 
 def check_evaluation_multiplicative() -> CheckResult:
-    name = "evaluation_multiplicative"
     for j in range(1, 6):
         for k in range(1, 7 - j):
             for mu in partitions_of(j):
@@ -219,74 +211,67 @@ def check_evaluation_multiplicative() -> CheckResult:
                         for lam in partitions_of(n):
                             want = QRat(sigma_eval(mu, lam) * sigma_eval(nu, lam))
                             if eval_expansion(prod, lam) != want:
-                                return _fail(name, f"mu={mu} nu={nu} lam={lam}")
-    return _ok(name, "|mu|+|nu| <= 6, n <= 8")
+                                return _fail(f"mu={mu} nu={nu} lam={lam}")
+    return _ok("|mu|+|nu| <= 6, n <= 8")
 
 
 def check_identity_cumulant_oracle() -> CheckResult:
-    name = "identity_cumulant_oracle"
     for m in range(1, 9):
         for ks in partitions_of(m):
             a = identity_cumulant(ks)
             if a != transitive_cumulant_oracle(ks):
-                return _fail(name, f"ks={ks}: oracle mismatch")
+                return _fail(f"ks={ks}: oracle mismatch")
             if a.degree > sum(ks) - len(ks) + 1:
-                return _fail(name, f"ks={ks}: degree {a.degree} above bound")
-    return _ok(name, "sum ks <= 8")
+                return _fail(f"ks={ks}: degree {a.degree} above bound")
+    return _ok("sum ks <= 8")
 
 
 def check_growth_coherency() -> CheckResult:
-    name = "growth_coherency"
     for m in range(0, 9):
         for lam in partitions_of(m):
             total = qrat_sum(growth_transitions_symbolic(lam).values())
             if total != QRat(1):
-                return _fail(name, f"transitions from {lam} sum to {total}")
-    return _ok(name, "from all shapes of size <= 8")
+                return _fail(f"transitions from {lam} sum to {total}")
+    return _ok("from all shapes of size <= 8")
 
 
 def check_conjugation_duality() -> CheckResult:
-    name = "conjugation_duality"
     for n in range(1, 9):
         for lam in partitions_of(n):
             if measure_value(lam) != measure_value(conjugate(lam)).subs_inverse():
-                return _fail(name, f"lam={lam}")
-    return _ok(name, "n <= 8")
+                return _fail(f"lam={lam}")
+    return _ok("n <= 8")
 
 
 def check_finite_n_drift() -> CheckResult:
-    name = "finite_n_drift"
     for mu, nu in [((2,), (2,)), ((2,), (3,)), ((3,), (3,))]:
         lim = asymptotics.limit_cov_z(mu, nu).eval_at(HALF)
         gaps = [abs(asymptotics.cov_z_finite(mu, nu, n, HALF) - lim) for n in (8, 32)]
         if not gaps[0] > gaps[1]:
-            return _fail(name, f"mu={mu} nu={nu}: gap {gaps[0]} -> {gaps[1]}")
-    return _ok(name, "n = 8 -> 32 at q = 1/2")
+            return _fail(f"mu={mu} nu={nu}: gap {gaps[0]} -> {gaps[1]}")
+    return _ok("n = 8 -> 32 at q = 1/2")
 
 
 def check_third_cumulant_decay() -> CheckResult:
-    name = "third_cumulant_decay"
     k8 = asymptotics.third_cumulant_z_at((2,), 8, HALF)
     k16 = asymptotics.third_cumulant_z_at((2,), 16, HALF)
     if not 0 < k16 < k8:
-        return _fail(name, f"values {k8}, {k16} do not decay")
+        return _fail(f"values {k8}, {k16} do not decay")
     r8, r16 = k8 * 8**0.5, k16 * 16**0.5
     if abs(r16 - r8) / r8 > 0.15:
-        return _fail(name, f"sqrt(n)-rescaled values {r8:.4f}, {r16:.4f} drift")
+        return _fail(f"sqrt(n)-rescaled values {r8:.4f}, {r16:.4f} drift")
     # the statistic the CLT report targets: the exact skewness of W_k
     details = [f"k3 = {k8:.5f} (n=8) -> {k16:.5f} (n=16)"]
     for k in (2, 3):
         s1 = asymptotics.w_shape_at(k, 1000, HALF)[0]
         s2 = asymptotics.w_shape_at(k, 10_000, HALF)[0]
         if not 0 < s2 < s1:
-            return _fail(name, f"skewness of W_{k}: {s1}, {s2} do not decay")
+            return _fail(f"skewness of W_{k}: {s1}, {s2} do not decay")
         r1, r2 = s1 * 1000**0.5, s2 * 10_000**0.5
         if abs(r2 - r1) / r1 > 0.15:
-            return _fail(
-                name, f"sqrt(n)-rescaled skewness of W_{k}: {r1:.4f}, {r2:.4f} drift"
-            )
+            return _fail(f"sqrt(n)-rescaled skewness of W_{k}: {r1:.4f}, {r2:.4f} drift")
         details.append(f"skew W_{k} = {s1:.4f} (n=1000) -> {s2:.4f} (n=10000)")
-    return _ok(name, "; ".join(details))
+    return _ok("; ".join(details))
 
 
 def product_rule_cumulants(
@@ -309,17 +294,15 @@ def product_rule_cumulants(
 
 
 def check_shape_targets_two_routes() -> CheckResult:
-    name = "shape_targets_two_routes"
     for k in (2, 3):
         fast = asymptotics.q_char_cumulants_at(k, 1000, HALF)
         slow = product_rule_cumulants(k, 1000, HALF, len(fast))
         if fast != slow:
-            return _fail(name, f"k={k}: interpolated {fast} != product rule {slow}")
-    return _ok(name, "cumulants of chi_q(lam,(k)), k in {2, 3}, n = 1000, q = 1/2")
+            return _fail(f"k={k}: interpolated {fast} != product rule {slow}")
+    return _ok("cumulants of chi_q(lam,(k)), k in {2, 3}, n = 1000, q = 1/2")
 
 
 def check_float_characters_two_routes() -> CheckResult:
-    name = "float_characters_two_routes"
     n = 10
     for m in range(2, 6):
         for rho in partitions_of(m):
@@ -329,33 +312,30 @@ def check_float_characters_two_routes() -> CheckResult:
                 fast = char_normalized_float(lam, rho)
                 exact = float(sigma_eval(rho, lam) / math.perm(n, m))
                 if fast != exact:
-                    return _fail(name, f"rho={rho} lam={lam}: {fast!r} != {exact!r}")
-    return _ok(name, "correctly rounded on all lam of 10 for |rho| <= 5")
+                    return _fail(f"rho={rho} lam={lam}: {fast!r} != {exact!r}")
+    return _ok("correctly rounded on all lam of 10 for |rho| <= 5")
 
 
 def check_covariance_signs() -> CheckResult:
-    name = "covariance_signs"
     two = Fraction(2)
     for k in range(2, 7):
         for l in range(2, 7):
             v = asymptotics.cov_closed_form(k, l).eval_at(two)
             if v == 0 or (v > 0) != ((k + l) % 2 == 0):
-                return _fail(name, f"(k,l)=({k},{l}) value {v} at q=2")
-    return _ok(name, "(-1)^(k+l) at q = 2, 2 <= k,l <= 6")
+                return _fail(f"(k,l)=({k},{l}) value {v} at q=2")
+    return _ok("(-1)^(k+l) at q = 2, 2 <= k,l <= 6")
 
 
 def check_covariance_positivity() -> CheckResult:
-    name = "covariance_positivity"
     for q0 in (Fraction(1, 10), Fraction(1, 3), HALF, Fraction(9, 10)):
         for k in range(2, 7):
             for l in range(2, 7):
                 if asymptotics.cov_closed_form(k, l).eval_at(q0) <= 0:
-                    return _fail(name, f"(k,l)=({k},{l}) at q={q0}")
-    return _ok(name, "q in {1/10, 1/3, 1/2, 9/10}")
+                    return _fail(f"(k,l)=({k},{l}) at q={q0}")
+    return _ok("q in {1/10, 1/3, 1/2, 9/10}")
 
 
 def check_report_determinism() -> CheckResult:
-    name = "report_determinism"
     cfg = dict(
         n=10,
         q=0.5,
@@ -369,16 +349,15 @@ def check_report_determinism() -> CheckResult:
     a = run_clt(RunConfig(**cfg))
     b = run_clt(RunConfig(**cfg))
     if a.to_json() != b.to_json():
-        return _fail(name, "repeated runs differ")
+        return _fail("repeated runs differ")
     one = sample_partitions(10, 0.5, 600, 5, method="exact", workers=1)
     two = sample_partitions(10, 0.5, 600, 5, method="exact", workers=2)
     if one != two:
-        return _fail(name, "sample stream depends on worker count")
-    return _ok(name, "byte-identical report; worker-invariant stream")
+        return _fail("sample stream depends on worker count")
+    return _ok("byte-identical report; worker-invariant stream")
 
 
-def check_sampler_gof_full() -> CheckResult:
-    name = "sampler_gof"
+def check_sampler_gof() -> CheckResult:
     details = []
     for method in ("rsk", "growth"):
         for q0 in (0.3, 0.5, 0.8, 2.0):
@@ -386,12 +365,11 @@ def check_sampler_gof_full() -> CheckResult:
                 gate = validate_sampler(method, 6, q0, 100_000, seed)
                 details.append(f"{method} q={q0} seed={seed} p={gate.gof.p_value:.3g}")
                 if not gate.passed:
-                    return _fail(name, details[-1])
-    return _ok(name, "; ".join(details))
+                    return _fail(details[-1])
+    return _ok("; ".join(details))
 
 
-def check_clt_full() -> CheckResult:
-    name = "clt_desk_scale"
+def check_clt_desk_scale() -> CheckResult:
     cfg = RunConfig(n=1000, q=0.5, num_samples=20_000, ks=(2, 3), seed=42, sampler="rsk")
     rep = run_clt(cfg)
     failing = [c for c in rep.checks if not c.passed]
@@ -401,8 +379,8 @@ def check_clt_full() -> CheckResult:
             f"bound {c.bound:.5f}"
             for c in failing
         )
-        return _fail(name, f"failed: {detail}")
-    return _ok(name, "all report checks passed")
+        return _fail(f"failed: {detail}")
+    return _ok("all report checks passed")
 
 
 SYMBOLIC_CHECKS = [
@@ -430,8 +408,8 @@ SYMBOLIC_CHECKS = [
 ]
 
 FULL_CHECKS = [
-    check_sampler_gof_full,
-    check_clt_full,
+    check_sampler_gof,
+    check_clt_desk_scale,
 ]
 
 
@@ -443,7 +421,9 @@ def run(full: bool = False) -> list[CheckResult]:
     for check in checks:
         start = time.perf_counter()
         result = check()
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        seconds = time.perf_counter() - start
+        name = check.__name__.removeprefix("check_")
+        results.append(replace(result, name=name, seconds=seconds))
     return results
 
 
@@ -456,11 +436,7 @@ def summary(results: list[CheckResult]) -> dict:
     }
 
 
-def render(results: list[CheckResult], fmt: str = "text") -> str:
-    if fmt not in ("text", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    if fmt == "json":
-        return json.dumps(summary(results), sort_keys=True, indent=2) + "\n"
+def render(results: list[CheckResult]) -> str:
     lines = []
     for r in results:
         mark = "PASS" if r.passed else "FAIL"

@@ -3,7 +3,9 @@
 Only the coefficients needed by the change of basis between the two
 families of central characters are implemented: expansions of h_rho in
 power sums, of p_rho in complete homogeneous functions, and the Hall
-pairings they encode.  All coefficients are exact Fractions.
+pairings they encode.  All coefficients are exact Fractions.  Both
+are products over the parts of rho, so one loop expands either from its
+one-part expansions.
 """
 
 from __future__ import annotations
@@ -34,12 +36,17 @@ def _h_part_in_p(k: int) -> tuple[tuple[Partition, Fraction], ...]:
     return tuple((mu, Fraction(1, z_of(mu))) for mu in partitions_of(k))
 
 
-def h_in_p(rho: Partition) -> dict[Partition, Fraction]:
-    """Nonzero power-sum coefficients of h_rho = prod_i h_{rho_i}."""
+def _product_of_parts(rho: Partition, part_expansion) -> dict[Partition, Fraction]:
+    # f_rho = prod_i f_{rho_i}, where part_expansion(k) expands f_k
     acc: dict[Partition, Fraction] = {(): Fraction(1)}
     for part in rho:
-        acc = _mul(acc, dict(_h_part_in_p(part)))
+        acc = _mul(acc, dict(part_expansion(part)))
     return acc
+
+
+def h_in_p(rho: Partition) -> dict[Partition, Fraction]:
+    """Nonzero power-sum coefficients of h_rho = prod_i h_{rho_i}."""
+    return _product_of_parts(rho, _h_part_in_p)
 
 
 @cache
@@ -56,23 +63,13 @@ def _p_part_in_h(k: int) -> tuple[tuple[Partition, Fraction], ...]:
 
 
 def p_in_h(rho: Partition) -> dict[Partition, Fraction]:
-    """Nonzero complete-homogeneous coefficients of p_rho."""
-    acc: dict[Partition, Fraction] = {(): Fraction(1)}
-    for part in rho:
-        acc = _mul(acc, dict(_p_part_in_h(part)))
-    return acc
+    """Nonzero complete-homogeneous coefficients of p_rho = prod_i p_{rho_i}."""
+    return _product_of_parts(rho, _p_part_in_h)
 
 
-def transition_matrix(k: int, which: str) -> dict[Partition, dict[Partition, Fraction]]:
-    """Row nu, column rho tables of the two transitions at degree k.
-
-    which = "h_in_p": entry [nu][rho] is the p_nu coefficient of h_rho;
-    which = "p_in_h": entry [nu][rho] is the h_nu coefficient of p_rho.
+def transition_matrix(k: int, expand) -> dict[Partition, dict[Partition, Fraction]]:
+    """Row nu, column rho table at degree k of an expansion, `h_in_p` or
+    `p_in_h`: entry [nu][rho] is the nu coefficient of expand(rho).
     """
-    expansions = {"h_in_p": h_in_p, "p_in_h": p_in_h}
-    try:
-        expand = expansions[which]
-    except KeyError:
-        raise ValueError(f"unknown transition {which!r}") from None
     cols = partitions_of(k)
     return {nu: {rho: expand(rho).get(nu, Fraction(0)) for rho in cols} for nu in cols}

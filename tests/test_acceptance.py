@@ -81,7 +81,7 @@ def test_criterion_1j_growth_and_duality():
 def test_criterion_2_sampler_goodness_of_fit():
     _gate(
         "2: sampler chi-square fit, n=6, N=1e5, q in {0.3,0.5,0.8,2}, seeds 1-3",
-        selftest.check_sampler_gof_full(),
+        selftest.check_sampler_gof(),
     )
 
 
@@ -93,7 +93,7 @@ def test_criterion_3_desk_scale_limit_reproduction():
     # 0.186 for W_3); criterion 4 checks that those values tend to 0.
     _gate(
         "3: desk-scale Gaussian reproduction (n=1000, q=0.5, N=20000, seed=42)",
-        selftest.check_clt_full(),
+        selftest.check_clt_desk_scale(),
     )
 
 

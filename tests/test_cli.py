@@ -122,6 +122,9 @@ def test_basis_json_contains_both_matrices(capsys):
     payload = json.loads(out)
     assert set(payload) == {"degree", "h_in_p", "p_in_h"}
     assert payload["h_in_p"]["3"]["3"] == "1/3"
+    code, out, err = run_cli(["basis", "--degree", "3", "--which", "m_in_p"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --which: invalid choice: 'm_in_p'")
 
 
 def test_sample_deterministic_under_seed(capsys):
@@ -413,10 +416,43 @@ def test_basis_reports_the_format_before_the_degree(fmt, message, capsys):
     ],
 )
 def test_a_flag_the_command_does_not_read_is_refused(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_one_error_line(code, out, err)
+    offered = {"--" + opt.name for opt in cli.COMMANDS[argv[0]][1] + cli.GLOBAL_OPTS}
+    [flag] = [a for a in argv if a.startswith("--") and a not in offered]
+    assert err.startswith(f"error: unrecognized arguments: {flag}")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["sample", "--n", "6", "--q", "1/2", "--method", "magic"],
+            "argument --method: invalid choice: 'magic' (choose from 'exact', 'rsk', 'growth')",
+        ),
+        (["sample", "--n"], "argument --n: expected one argument"),
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ],
+    ids=["bad-choice", "flag-without-value", "no-command", "unknown-command"],
+)
+def test_argparse_refusals_are_one_error_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: " + message)
+
+
+def test_help_still_prints_usage_and_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+        cli.main(["measure", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qplancherel measure")
+
+
+def test_sample_of_no_shapes_prints_nothing_but_the_csv_header(capsys):
+    args = ["sample", "--n", "6", "--q", "1/2", "--method", "exact", "--count", "0"]
+    assert run_cli(args, capsys) == (0, "", "")
+    assert run_cli(args + ["--format", "csv"], capsys) == (0, "partition\n", "")
 
 
 def test_only_the_drawing_commands_offer_seed_and_workers():
@@ -456,7 +492,7 @@ def test_sample_rejects_a_count_or_worker_number_it_cannot_use(flags, message, c
 
 
 def test_sample_rejects_an_unknown_method_from_a_config_file(tmp_path, capsys):
-    # on the command line argparse refuses it; a config file reaches main
+    # on the command line argparse refuses it; from a config file, main's option check
     cfg = tmp_path / "run.cfg"
     cfg.write_text("method = magic\n")
     code, out, err = run_cli(["sample", "--n", "6", "--q", "1/2", "--config", str(cfg)], capsys)
@@ -478,3 +514,15 @@ def test_clt_defaults_are_run_configs(capsys):
     _, explicit, _ = run_cli(base + given, capsys)
     assert implicit == explicit
     assert "gate_n" not in json.loads(implicit)["config"]
+
+
+def test_every_readme_cli_example_exits_zero(capsys):
+    # the qplancherel lines of the sh block under README's ## CLI, less comments
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = (line.split("#", 1)[0].split() for line in block.splitlines())
+    examples = [words[1:] for words in lines if words[:1] == ["qplancherel"]]
+    assert len(examples) == 14
+    for argv in examples:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and out, (argv, err)

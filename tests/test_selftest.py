@@ -5,10 +5,7 @@ the harness machinery: fault injection is actually detected and blamed
 on the right route, rendering is stable, and the summary counts add up.
 """
 
-import json
 from types import SimpleNamespace
-
-import pytest
 
 from qplancherel import asymptotics, characters, selftest
 from qplancherel.montecarlo import Check
@@ -95,8 +92,8 @@ def test_render_is_reproducible():
         selftest.check_measure_normalization(),
         selftest.check_product_worked_example(),
     ]
-    assert selftest.render(results, "text") == selftest.render(again, "text")
-    assert selftest.render(results, "json") == selftest.render(again, "json")
+    assert selftest.render(results) == selftest.render(again)
+    assert selftest.summary(results) == selftest.summary(again)
 
 
 def test_render_text_format():
@@ -104,7 +101,7 @@ def test_render_text_format():
         selftest.CheckResult("good", True, "fine"),
         selftest.CheckResult("bad", False, "broken"),
     ]
-    text = selftest.render(results, "text")
+    text = selftest.render(results)
     lines = text.strip().splitlines()
     assert lines[0].startswith("PASS  good")
     assert lines[1].startswith("FAIL  bad")
@@ -120,15 +117,14 @@ def test_run_times_each_check(monkeypatch):
     results = selftest.run()
     assert [r.name for r in results] == ["product_worked_example", "measure_normalization"]
     assert all(r.passed and r.seconds > 0 for r in results)
-    lines = selftest.render(results, "text").splitlines()
+    lines = selftest.render(results).splitlines()
     assert lines[1].endswith(f"  ({results[1].seconds:.2f} s)")
-    payload = json.loads(selftest.render(results, "json"))
-    assert payload["checks"][1]["seconds"] == results[1].seconds
+    assert selftest.summary(results)["checks"][1]["seconds"] == results[1].seconds
 
 
 def test_render_json_format():
     results = [selftest.CheckResult("good", True, "fine")]
-    payload = json.loads(selftest.render(results, "json"))
+    payload = selftest.summary(results)
     assert payload["ok"] is True
     assert payload["passed"] == 1
     assert payload["failed"] == 0
@@ -151,9 +147,10 @@ def test_registries_are_disjoint_and_named():
     assert all(n.startswith("check_") for n in names)
 
 
-def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        selftest.render([], "yaml")
+def test_full_checks_keep_their_printed_names():
+    # run names each result after its check function, less check_
+    names = [fn.__name__.removeprefix("check_") for fn in selftest.FULL_CHECKS]
+    assert names == ["sampler_gof", "clt_desk_scale"]
 
 
 def test_clt_failure_detail_names_observed_target_and_bound(monkeypatch):
@@ -162,7 +159,7 @@ def test_clt_failure_detail_names_observed_target_and_bound(monkeypatch):
     failing = Check("skewness_w3", False, 0.51, 0.34694, 0.15)
     report = SimpleNamespace(checks=(Check("var_w2", True, 0.07, 0.0714, 0.1), failing))
     monkeypatch.setattr(selftest, "run_clt", lambda cfg: report)
-    result = selftest.check_clt_full()
+    result = selftest.check_clt_desk_scale()
     assert not result.passed
     assert "var_w2" not in result.detail
     assert (

@@ -175,13 +175,9 @@ class TestScalarProducts:
     def test_transition_matrices_mutually_inverse(self, k):
         # [p_nu coeff of h_kappa] times [h_kappa coeff of p_rho] = identity
         index = partitions_of(k)
-        hp = transition_matrix(k, "h_in_p")
-        ph = transition_matrix(k, "p_in_h")
+        hp = transition_matrix(k, h_in_p)
+        ph = transition_matrix(k, p_in_h)
         for nu in index:
             for rho in index:
                 entry = sum(hp[nu][kappa] * ph[kappa][rho] for kappa in index)
                 assert entry == (1 if nu == rho else 0)
-
-    def test_transition_matrix_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            transition_matrix(3, "m_in_p")
