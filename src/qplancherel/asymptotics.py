@@ -9,16 +9,17 @@ structural equality of reduced rational functions.
 At finite n and a rational q0 there is one exact route.  The expectation
 of a product of Sigma-expansions of total degree d is a polynomial of
 degree <= d in n (Kerov-Olshanski), fixed by exact sums over diagrams of
-at most d boxes and extended to any n by forward differences.  Each sum
-is over the integers, with one denominator per diagram size: the Sigma
-values are integers, and the measure weights and the coefficients at q0
-are brought to common denominators.  The covariance of the rescaled
-symbols, their third cumulant, and the cumulants of the q-character
-(whose skewness and excess kurtosis are the report's shape targets) all
-come from it, with no bound on n; the product rule is only the oracle
-`selftest` compares them with.  The q-character's orders stop at
-r k <= PRODUCT_SIZE_LIMIT, the scope of the report's shape checks, kept
-so that its output is unchanged.
+at most d boxes and extended to any n by forward differences.  One joint
+moment table per (xs, order, q0) holds them for every product of at most
+`order` of the xs, as integer sums with one denominator per diagram size,
+from one pass over the diagrams; joint cumulants are read off it by the
+one moment-cumulant rule, `observables.cumulant_from_moments`.  The
+covariance of the rescaled symbols, their third cumulant, and the
+cumulants of the q-character (whose skewness and excess kurtosis are the
+report's shape targets) all come from it, with no bound on n; the
+product rule is only the oracle `selftest` compares them with.  The
+q-character's orders stop at r k <= PRODUCT_SIZE_LIMIT, the scope of the
+report's shape checks, kept so that its output is unchanged.
 """
 
 from __future__ import annotations
@@ -26,13 +27,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import permutations as iter_permutations
+from itertools import combinations_with_replacement, permutations as iter_permutations
 from typing import Callable, Sequence
 
 from qplancherel.characters import sigma_eval
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import expectation_sigma, measure_table
-from qplancherel.observables import PRODUCT_SIZE_LIMIT, ObservableExpansion
+from qplancherel.observables import (
+    PRODUCT_SIZE_LIMIT, ObservableExpansion, cumulant_from_moments
+)
 from qplancherel.partitions import (
     Partition,
     cycle_type,
@@ -227,19 +230,16 @@ def reduce_covariance_via_mobius(k: int, l: int) -> QRat:
 
 def cov_z_finite(mu: Partition, nu: Partition, n: int, q0: Fraction) -> Fraction:
     """Exact covariance of Z at finite n and a rational q0:
-    n^(1-|mu|-|nu|) (E[Sigma_mu Sigma_nu] - E[Sigma_mu] E[Sigma_nu])."""
-    x, y = ObservableExpansion.sigma(mu), ObservableExpansion.sigma(nu)
-    e_x, e_xy = _moments_at((x, y), n, q0)
-    (e_y,) = _moments_at((y,), n, q0)
-    return (e_xy - e_x * e_y) / n ** (size(mu) + size(nu) - 1)
+    n^(1-|mu|-|nu|) kappa(Sigma_mu, Sigma_nu)."""
+    xs = (ObservableExpansion.sigma(mu), ObservableExpansion.sigma(nu))
+    return joint_cumulant_at(xs, n, q0) / n ** (size(mu) + size(nu) - 1)
 
 
 def third_cumulant_z_at(mu: Partition, n: int, q0: Fraction) -> float:
     """Numeric third cumulant of Z_mu = n^(1/2-|mu|)(Sigma_mu - E):
     exact for Sigma_mu, then rescaled by a half-integer power of n,
     which makes it a float."""
-    x = ObservableExpansion.sigma(mu)
-    k3 = _cumulants(_moments_at((x, x, x), n, q0))[2]
+    k3 = joint_cumulant_at((ObservableExpansion.sigma(mu),) * 3, n, q0)
     return float(k3) * float(n) ** (1.5 - 3.0 * size(mu))
 
 
@@ -247,7 +247,7 @@ def third_cumulant_z_at(mu: Partition, n: int, q0: Fraction) -> float:
 def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction, ...]:
     """Exact cumulants (kappa_1, kappa_2, ...) of the normalized
     q-character chi_q(lam, (k)) = Sigma_{k,q}(lam) / n^(falling k) under
-    M_{n,q} at a rational q0.
+    M_{n,q} at a rational q0, all read off one moment table.
 
     Orders stop at SHAPE_MAX_ORDER or where r k would exceed
     PRODUCT_SIZE_LIMIT: kappa_3 exists for k <= 4 and kappa_4 for k <= 3.
@@ -261,76 +261,74 @@ def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction,
         raise ValueError(f"k = {k} exceeds n = {n}")
     top = min(SHAPE_MAX_ORDER, PRODUCT_SIZE_LIMIT // k)
     ff = math.perm(n, k)
-    moments = _moments_at((sigma_q_in_sigma((k,)),) * top, n, q0)
-    return _cumulants([m / ff ** (r + 1) for r, m in enumerate(moments)])
+    moment = _table_at((sigma_q_in_sigma((k,)),), top, n, q0)
+    return tuple(
+        cumulant_from_moments(lambda block: moment[(0,) * len(block)], r) / ff**r
+        for r in range(1, top + 1)
+    )
 
 
-def _moments_at(
-    xs: tuple[ObservableExpansion, ...], n: int, q0: Fraction
-) -> list[Fraction]:
-    """E_n[x_1 ... x_r] under M_{n,q0}, r = 1..len(xs), by Newton's
-    forward formula E_n = sum_j C(n, j) Delta^j E_0.  A float q0 keys the
-    table as its exact Fraction, which it compares and hashes equal to."""
-    diffs = _moment_differences(xs, Fraction(q0))
-    return [
-        sum(math.comb(n, j) * d[r] for j, d in enumerate(diffs)) for r in range(len(xs))
-    ]
+def joint_cumulant_at(xs: Sequence[ObservableExpansion], n: int, q0: Fraction) -> Fraction:
+    """Exact joint cumulant kappa(x_1, ..., x_r) under M_{n,q0}, read off
+    the moment table of the distinct x_i at order r."""
+    distinct = tuple(dict.fromkeys(xs))
+    slots = [distinct.index(x) for x in xs]
+    moment = _table_at(distinct, len(xs), n, q0)
+    return cumulant_from_moments(lambda b: moment[tuple(sorted(slots[i] for i in b))], len(xs))
+
+
+def _table_at(
+    xs: tuple[ObservableExpansion, ...], order: int, n: int, q0: Fraction
+) -> dict[tuple[int, ...], Fraction]:
+    """E_n under M_{n,q0} of each monomial of the table, by Newton's forward formula
+    sum_j C(n, j) Delta^j E_0; a float q0 keys it as its exact Fraction (both hash equal)."""
+    table = _moment_table(xs, order, Fraction(q0))
+    return {a: sum(math.comb(n, j) * d for j, d in enumerate(ds)) for a, ds in table.items()}
 
 
 @cache
-def _moment_differences(
-    xs: tuple[ObservableExpansion, ...], q0: Fraction
-) -> tuple[tuple[Fraction, ...], ...]:
+def _moment_table(
+    xs: tuple[ObservableExpansion, ...], order: int, q0: Fraction
+) -> dict[tuple[int, ...], tuple[Fraction, ...]]:
     """Forward differences Delta^j E_0, j = 0..d, of the moments
-    E_m[x_1 ... x_r], r = 1..len(xs), as functions of the size m, with
-    the coefficients of the x_i taken at q0 and d the sum of their
-    degrees.
+    E_m[x_a1 ... x_ar] as functions of the size m, for every sorted
+    multi-index a over the distinct xs with 1 <= r <= order.  The
+    coefficients of the x_i are taken at q0, and d is order times their
+    largest degree.
 
-    x_1 ... x_r is a combination of Sigma_rho with |rho| <= d, and
+    x_a1 ... x_ar is a combination of Sigma_rho with |rho| <= d, and
     E_m[Sigma_rho] is m^(falling |rho|) times a constant in m
     (`expectation_sigma`).  So each moment is a polynomial of degree
     <= d in m, fixed by its exact values at m = 0..d.  One pass over
-    those diagrams evaluates each distinct x_i once per diagram.
+    those diagrams evaluates each x_i once per diagram.
 
     The sums are integer: the coefficients of the x_i at q0 are taken
     over one denominator L, the weights at level m over one D_m, and each
     Sigma_rho(lam) is an integer; one Fraction over D_m L^r ends each.
     """
-    distinct = list(dict.fromkeys(xs))
-    coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in distinct]
+    coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in xs]
     den = math.lcm(*(c.denominator for cs in coeffs for _, c in cs))
     coeffs = [[(nu, c.numerator * den // c.denominator) for nu, c in cs] for cs in coeffs]
-    slots = [distinct.index(x) for x in xs]
+    monomials = [
+        a for r in range(1, order + 1) for a in combinations_with_replacement(range(len(xs)), r)
+    ]
     rows = []
-    for m in range(sum(x.degree for x in xs) + 1):
+    for m in range(order * max(x.degree for x in xs) + 1):
         table = measure_table(m, q0)
         scale = math.lcm(*(w.denominator for w in table.values()))
-        sums = [0] * len(xs)
+        sums = dict.fromkeys(monomials, 0)
         for lam, w in table.items():
-            weight = w.numerator * scale // w.denominator
             values = [sum(c * sigma_eval(nu, lam) for nu, c in cs) for cs in coeffs]
-            for r, i in enumerate(slots):
-                weight *= values[i]
-                sums[r] += weight
-        rows.append([Fraction(a, scale * den ** (r + 1)) for r, a in enumerate(sums)])
+            prods = {(): w.numerator * scale // w.denominator}
+            for a in monomials:  # each is a shorter one, already formed, times one x_i
+                prods[a] = prods[a[:-1]] * values[a[-1]]
+                sums[a] += prods[a]
+        rows.append([Fraction(s, scale * den ** len(a)) for a, s in sums.items()])
     diffs = []
     while rows:
-        diffs.append(tuple(rows[0]))
+        diffs.append(rows[0])
         rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
-    return tuple(diffs)
-
-
-def _cumulants(moments: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Cumulants kappa_1..kappa_r of one variable from its raw moments
-    m_1..m_r, by kappa_r = m_r - sum_j C(r-1, j-1) kappa_j m_(r-j)."""
-    m = [Fraction(1), *moments]
-    kappa: list[Fraction] = []
-    for r in range(1, len(m)):
-        lower = sum(
-            math.comb(r - 1, j - 1) * kappa[j - 1] * m[r - j] for j in range(1, r)
-        )
-        kappa.append(m[r] - lower)
-    return tuple(kappa)
+    return {a: tuple(d[t] for d in diffs) for t, a in enumerate(monomials)}
 
 
 def expectation_of_expansion(a: ObservableExpansion, n: int, q0: Fraction) -> QRat:

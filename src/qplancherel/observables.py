@@ -6,9 +6,10 @@ concatenates indices.  The ordinary product is read off the character
 tables of S_m, one level m = |lam| at a time: there Sigma_sigma with
 |sigma| = m - j equals Sigma_{sigma 1^j} / j!, and column orthogonality
 turns the values Sigma_mu(lam) Sigma_nu(lam) into the level's
-coefficients with no linear solve (`product_sigma`).  Joint cumulants
-and the observable-valued identity cumulants are built on these two
-products.
+coefficients with no linear solve (`product_sigma`).  A joint cumulant
+is the one moment-cumulant inversion over set partitions
+(`cumulant_from_moments`) of the moments of ordinary products; the
+observable-valued identity cumulants interpolate the two products.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from operator import mul
 from typing import Callable, Mapping, Sequence
 
@@ -221,26 +222,27 @@ def project_to_class_sums(
 # ---------------------------------------------------------------------------
 # cumulants
 
+def cumulant_from_moments(
+    moment: Callable[[tuple[int, ...]], Fraction | QRat], r: int
+) -> Fraction | QRat:
+    """The moment-cumulant inversion: the joint cumulant of r variables is
+    the sum over set partitions pi of {0, ..., r-1} of (-1)^(|pi|-1)
+    (|pi|-1)! prod_(B in pi) moment(B), moment(B) the moment of the
+    product of the variables in block B, a Fraction or a QRat."""
+    return sum(
+        (-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1) * reduce(mul, map(moment, pi))
+        for pi in set_partitions_of(r)
+    )
+
+
 def joint_cumulant(
     expectation: Callable[[ObservableExpansion], QRat],
     xs: Sequence[ObservableExpansion],
 ) -> QRat:
-    """Moment-cumulant inversion over set partitions of the index set."""
-    r = len(xs)
-    if r == 0:
-        raise ValueError("need at least one observable")
-    total = ZERO
-    for pi in set_partitions_of(r):
-        b = len(pi)
-        weight = QRat(Fraction((-1) ** (b - 1) * math.factorial(b - 1)))
-        prod = QRat(1)
-        for block in pi:
-            x = xs[block[0]]
-            for i in block[1:]:
-                x = x * xs[i]
-            prod = prod * expectation(x)
-        total = total + weight * prod
-    return total
+    """Joint cumulant of the xs; a block's moment is the expectation of its product."""
+    return cumulant_from_moments(
+        lambda block: expectation(reduce(mul, (xs[i] for i in block))), len(xs)
+    )
 
 
 @cache

@@ -310,11 +310,12 @@ def expectation_by_partition(a: ObservableExpansion, n: int) -> QRat:
 def moment_differences_by_fractions(
     xs: tuple[ObservableExpansion, ...], q0: Fraction
 ) -> tuple[tuple[Fraction, ...], ...]:
-    """Delta^j E_0 of the moments E_m[x_1 ... x_r], as
-    `asymptotics._moment_differences` gives them, with every term a
-    Fraction: the symbolic weight of lam evaluated at q0 times the
-    product of the x_i(lam), each Sigma_nu(lam) taken as m^(falling |nu|)
-    times the exact normalized character."""
+    """Delta^j E_0 of the prefix moments E_m[x_1 ... x_r] of one ordered
+    tuple, with every term a Fraction: the symbolic weight of lam
+    evaluated at q0 times the product of the x_i(lam), each Sigma_nu(lam)
+    taken as m^(falling |nu|) times the exact normalized character.  The
+    last prefix is the monomial x_1 ... x_r, which `asymptotics._moment_table`
+    holds as integer sums."""
     distinct = list(dict.fromkeys(xs))
     coeffs = [[(nu, c.eval_at(q0)) for nu, c in x.terms.items()] for x in distinct]
     slots = [distinct.index(x) for x in xs]

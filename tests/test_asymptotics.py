@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplancherel.asymptotics import (
-    _moment_differences,
+    _moment_table,
     cov_closed_form,
     cov_double_sum,
     cov_z_finite,
     expectation_of_expansion,
     f1_family,
     f2_family,
+    joint_cumulant_at,
     limit_cov_z,
     mobius_brute,
     mobius_closed,
@@ -27,7 +28,7 @@ from qplancherel.asymptotics import (
     w_shape_at,
 )
 from qplancherel.measure import expectation_sigma, measure_table
-from qplancherel.characters import sigma_eval
+from qplancherel.characters import char_normalized, sigma_eval
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.observables import ObservableExpansion, product_sigma
 from qplancherel.partitions import partitions_of, size
@@ -387,15 +388,70 @@ def test_shape_targets_past_the_interpolation_nodes(k, n, q0):
         [("q", (4,))] * 3,
         [("plain", (2,)), ("plain", (3,))],
         [("q", (2,)), ("q", (3,))],
+        [("q", (2,)), ("q", (3,)), ("q", (3,))],
     ],
-    ids=["x2^4", "x3^4", "x4^3", "sigma2*sigma3", "x2*x3"],
+    ids=["x2^4", "x3^4", "x4^3", "sigma2*sigma3", "x2*x3", "x2*x3^2"],
 )
 def test_integer_moment_tables_equal_the_fraction_sums(factors, q0):
-    # Sigma_{k,q} at the orders of the report's shape targets, and a
-    # mixed pair as cov_z_finite passes it
+    # Sigma_{k,q} at the orders of the report's shape targets, a mixed
+    # pair as cov_z_finite passes it, and a two-variable table of order 3.
+    # The table over the distinct factors at order len(factors) holds every
+    # sorted monomial; the oracle, read at that monomial as its ordered
+    # tuple, gives the monomial's differences as its last prefix.  The
+    # table runs to order times the largest degree, so the differences
+    # past the monomial's own degree must be 0.
     build = {"q": sigma_q_in_sigma, "plain": ObservableExpansion.sigma}
-    xs = tuple(build[kind](mu) for kind, mu in factors)
-    assert _moment_differences(xs, q0) == moment_differences_by_fractions(xs, q0)
+    xs = tuple(dict.fromkeys(build[kind](mu) for kind, mu in factors))
+    table = _moment_table(xs, len(factors), q0)
+    assert len(table) == math.comb(len(xs) + len(factors), len(factors)) - 1
+    for a, got in table.items():
+        oracle = moment_differences_by_fractions(tuple(xs[i] for i in a), q0)
+        want = tuple(row[-1] for row in oracle)
+        assert got[: len(want)] == want
+        assert not any(got[len(want) :])
+
+
+def enumerated_joint_moments(xs, n, q0):
+    """E[x_i], E[x_i x_j] and E[x_i x_j x_l] over the measure table at n,
+    for xs of (family, k): x = Sigma_{k,q}(lam) or Sigma_k(lam), taken as
+    n^(falling k) times the exact normalized q-character or character."""
+    char = {
+        "q": lambda lam, k: q_char_normalized(lam, (k,), q0),
+        "plain": lambda lam, k: char_normalized(lam, (k,)),
+    }
+    table = measure_table(n, q0)
+    values = {lam: [math.perm(n, k) * char[f](lam, k) for f, k in xs] for lam in table}
+
+    def moment(*idx):
+        return sum(w * math.prod(values[lam][i] for i in idx) for lam, w in table.items())
+
+    return moment
+
+
+@pytest.mark.parametrize("q0", [HALF, Fraction(99, 100), Fraction(2)])
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("family", ["q", "plain"])
+def test_mixed_joint_cumulants_against_enumeration(family, n, q0):
+    # kappa(x2, x3) and the mixed third cumulant kappa(x2, x2, x3), read off
+    # one joint table, against the measure table.  The Sigma_{k,q} have
+    # mean 0, so only the plain Sigma_k, whose means are not 0, test the
+    # lower-order terms of the inversion
+    build = {"q": sigma_q_in_sigma, "plain": ObservableExpansion.sigma}[family]
+    x2, x3 = build((2,)), build((3,))
+    E = enumerated_joint_moments([(family, 2), (family, 3)], n, q0)
+    assert joint_cumulant_at((x2, x3), n, q0) == E(0, 1) - E(0) * E(1)
+    k3 = E(0, 0, 1) - 2 * E(0, 1) * E(0) - E(0, 0) * E(1) + 2 * E(0) ** 2 * E(1)
+    assert joint_cumulant_at((x2, x2, x3), n, q0) == k3
+
+
+def test_cov_z_finite_reads_one_table():
+    # a covariance is one read of one table: of order 2 over (Sigma_2,
+    # Sigma_3), and over Sigma_3 alone when both symbols are Sigma_3
+    _moment_table.cache_clear()
+    cov_z_finite((2,), (3,), 10, Fraction(5, 11))
+    assert _moment_table.cache_info().currsize == 1
+    cov_z_finite((3,), (3,), 10, Fraction(5, 11))
+    assert _moment_table.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("q0", [HALF, Fraction(2), Fraction(3, 7), Fraction(0.3), 1])

@@ -11,6 +11,7 @@ from qplancherel.groupcenter import class_product
 from qplancherel.observables import (
     ObservableExpansion,
     class_sum_coefficient,
+    cumulant_from_moments,
     disjoint_product,
     eval_expansion,
     expansion_str,
@@ -26,7 +27,7 @@ from qplancherel.partitions import (
     size,
     union,
 )
-from qplancherel.ratfunc import QRat, ZERO
+from qplancherel.ratfunc import QPoly, QRat, ZERO
 
 from oracles import product_sigma_by_matchings
 
@@ -286,6 +287,40 @@ class TestJointCumulant:
         for lam in partitions_of(n):
             E = lambda a: eval_expansion(a, lam)
             assert joint_cumulant(E, [sigma(m) for m in mus]) == ZERO
+
+    def test_no_observable_is_refused(self):
+        with pytest.raises(ValueError):
+            joint_cumulant(lambda a: eval_expansion(a, (2,)), [])
+
+
+def one_variable_cumulants(m1, m2, m3, m4):
+    """kappa_1..kappa_4 of one variable from its raw moments, written out."""
+    return (
+        m1,
+        m2 - m1**2,
+        m3 - 3 * m2 * m1 + 2 * m1**3,
+        m4 - 4 * m3 * m1 - 3 * m2**2 + 12 * m2 * m1**2 - 6 * m1**4,
+    )
+
+
+Q = QRat(QPoly.monomial(1))
+
+
+@pytest.mark.parametrize(
+    "moments",
+    [
+        (Fraction(3, 2), Fraction(7, 3), Fraction(-5, 4), Fraction(11, 5)),
+        (Q, Q**2 + 1, 1 / (1 - Q), Q**3 - Fraction(2, 3)),
+    ],
+    ids=["fraction", "qrat"],
+)
+def test_cumulant_from_moments_of_one_variable(moments):
+    # a block's moment depends only on its size for one variable
+    want = one_variable_cumulants(*moments)
+    for r in range(1, 5):
+        got = cumulant_from_moments(lambda block: moments[len(block) - 1], r)
+        assert got == want[r - 1]
+        assert type(got) is type(moments[0])
 
 
 class TestIdentityCumulant:
