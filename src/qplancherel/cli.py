@@ -49,7 +49,6 @@ from qplancherel.hecke import (
     sigma_q_in_sigma,
 )
 from qplancherel.measure import (
-    BRUTE_EXPECTATION_MAX_N,
     SAMPLER_CHUNK_FNS,
     expectation_brute,
     expectation_sigma,
@@ -253,12 +252,7 @@ _FAMILIES = {
 def cmd_expect(o) -> tuple[dict, int]:
     mu, n = o["mu"], o["n"]
     symbol, closed_form = _FAMILIES[o["family"]]
-    if o["brute"]:
-        if n > BRUTE_EXPECTATION_MAX_N:
-            raise CliError(f"--brute enumerates partitions; n <= {BRUTE_EXPECTATION_MAX_N}")
-        value = expectation_brute(symbol(mu), n)
-    else:
-        value = closed_form(mu, n)
+    value = expectation_brute(symbol(mu), n) if o["brute"] else closed_form(mu, n)
     rendered = str(value if o["q"] is None else value.eval_at(o["q"]))
     return _value_forms(o, rendered, "mu", "n", "family", "brute")
 

@@ -207,10 +207,7 @@ def stat_w(lam: Partition, k: int, q0: float) -> float:
     """W_k = sqrt(n) times the normalized q-character on a k-cycle."""
     if k < 2:
         raise ValueError("k must be >= 2")
-    n = size(lam)
-    if k > n:
-        raise ValueError(f"k = {k} exceeds |lam| = {n}")
-    return math.sqrt(n) * q_char_normalized(lam, (k,), float(q0))
+    return math.sqrt(size(lam)) * q_char_normalized(lam, (k,), float(q0))
 
 
 # ---------------------------------------------------------------------------

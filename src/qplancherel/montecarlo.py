@@ -18,9 +18,9 @@ check against a wrong target.
 
 Determinism contract: a report is a pure function of its RunConfig.
 Sampling is fanned out over fixed-size chunks with per-chunk generator
-streams, so the drawn sequence does not depend on the worker count, and
-the bootstrap derives its generator from the master seed on a reserved
-stream.
+streams, and the chunks come back in task order, so the drawn sequence
+does not depend on the worker count; the bootstrap derives its
+generator from the master seed on a reserved stream.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from multiprocessing import Pool
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import chdtrc
@@ -95,17 +95,15 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ks", tuple(self.ks))
-        check_q(self.q)
+        _check_draw(self.q, self.sampler, self.workers)
         if self.num_samples < 100:
             raise ValueError("at least 100 samples are required")
         if not self.ks:
             raise ValueError("ks must be nonempty")
+        if len(set(self.ks)) < len(self.ks):
+            raise ValueError(f"ks must be distinct, got ks = {self.ks}")
         if any(k < 2 or k > self.n for k in self.ks):
             raise ValueError("every k must satisfy 2 <= k <= n")
-        if self.sampler not in SAMPLER_CHUNK_FNS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.bootstrap < 0:
             raise ValueError("bootstrap resample count must be >= 0")
         if self.gate_draws < 1:
@@ -119,17 +117,18 @@ class SamplerGateError(RuntimeError):
 # ---------------------------------------------------------------------------
 # sampling fan-out
 
-def _iter_chunks(count: int) -> Iterator[tuple[int, int]]:
-    full, rem = divmod(count, SAMPLE_CHUNK)
-    for j in range(full):
-        yield j, SAMPLE_CHUNK
-    if rem:
-        yield full, rem
+def _check_draw(q0: float, method: str, workers: int) -> None:
+    """The checks that a draw and a RunConfig share."""
+    check_q(q0)
+    if method not in SAMPLER_CHUNK_FNS:
+        raise ValueError(f"unknown sampler {method!r}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
 
 
 def _chunk_task(args):
     method, n, q0, seed, chunk_index, m = args
-    return chunk_index, SAMPLER_CHUNK_FNS[method](n, q0, seed, chunk_index, m)
+    return SAMPLER_CHUNK_FNS[method](n, q0, seed, chunk_index, m)
 
 
 def sample_partitions(
@@ -142,29 +141,25 @@ def sample_partitions(
 ) -> list[Partition]:
     """Draw `count` shapes; the result is independent of `workers`.
 
-    Chunks are indexed deterministically and merged in index order, so
-    any worker assignment yields the same sequence.
+    Chunk j holds SAMPLE_CHUNK shapes (the last one the remainder) from
+    its own stream, and both `map` and `Pool.map` return the chunks in
+    task order, so any worker assignment yields the same sequence.
     """
-    check_q(q0)
+    _check_draw(q0, method, workers)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    if method not in SAMPLER_CHUNK_FNS:
-        raise ValueError(f"unknown sampler {method!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    tasks = [(method, n, q0, seed, j, m) for j, m in _iter_chunks(count)]
+    tasks = [
+        (method, n, q0, seed, j, min(SAMPLE_CHUNK, count - start))
+        for j, start in enumerate(range(0, count, SAMPLE_CHUNK))
+    ]
     if workers == 1 or len(tasks) <= 1:
-        done = [_chunk_task(t) for t in tasks]
+        chunks = map(_chunk_task, tasks)
     else:
         with Pool(min(workers, len(tasks))) as pool:
             # one chunk per dispatch: map's default batches tasks, which
             # leaves one worker idle while the other draws a last batch
-            done = pool.map(_chunk_task, tasks, chunksize=1)
-    done.sort(key=lambda pair: pair[0])
-    out: list[Partition] = []
-    for _, chunk in done:
-        out.extend(chunk)
-    return out
+            chunks = pool.map(_chunk_task, tasks, chunksize=1)
+    return [lam for chunk in chunks for lam in chunk]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from qplancherel.characters import character_table, sigma_eval
 from qplancherel.partitions import (
     Partition,
     cycle_type,
+    partition_str,
     partitions_of,
     set_partitions_of,
     size,
@@ -239,9 +240,12 @@ def joint_cumulant(
     expectation: Callable[[ObservableExpansion], QRat],
     xs: Sequence[ObservableExpansion],
 ) -> QRat:
-    """Joint cumulant of the xs; a block's moment is the expectation of its product."""
+    """Joint cumulant of the xs; a block's moment is the expectation of its
+    product, formed and averaged once per multiset of the block's xs."""
+    first = [xs.index(x) for x in xs]  # equal xs share the index of the first
+    moment = cache(lambda key: expectation(reduce(mul, (xs[i] for i in key))))
     return cumulant_from_moments(
-        lambda block: expectation(reduce(mul, (xs[i] for i in block))), len(xs)
+        lambda block: moment(tuple(sorted(first[i] for i in block))), len(xs)
     )
 
 
@@ -356,7 +360,7 @@ def expansion_str(a: ObservableExpansion, symbol: str = "Sigma") -> str:
     chunks = []
     for mu in sorted(a.terms, key=_term_order):
         c = a.terms[mu]
-        name = symbol + "[" + ",".join(str(p) for p in mu) + "]"
+        name = f"{symbol}[{partition_str(mu)}]"
         sign = "+"
         if c.is_polynomial() and c.num.degree <= 0:
             value = c.as_fraction()

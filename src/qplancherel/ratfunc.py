@@ -361,6 +361,9 @@ class QRat:
         )
 
     def __hash__(self) -> int:
+        # a constant hashes as its Fraction, since the two compare equal
+        if self.den.is_one() and self.num.degree <= 0:
+            return hash(self.as_fraction())
         return hash((self.num, self.den))
 
     def __bool__(self) -> bool:
@@ -418,14 +421,8 @@ class QRat:
     def __pow__(self, n: int) -> "QRat":
         if n < 0:
             return (ONE / self) ** (-n)
-        result = ONE
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        # powers of coprime polynomials stay coprime, of a monic one monic
+        return QRat._raw(self.num**n, self.den**n)
 
     def eval_at(self, q0):
         """Exact value at a Fraction, float value at a float.

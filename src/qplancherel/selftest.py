@@ -19,6 +19,7 @@ import random
 import time
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
+from functools import cache
 
 import qplancherel.asymptotics as asymptotics
 from qplancherel.characters import char_normalized, char_normalized_float, sigma_eval
@@ -279,12 +280,14 @@ def product_rule_cumulants(
 ) -> tuple[Fraction, ...]:
     """Oracle for `asymptotics.q_char_cumulants_at`: joint cumulants of r
     copies of Sigma_{k,q} / n^(falling k), multiplied out by the product
-    rule and averaged by the closed expectation formula, r = 1..orders."""
+    rule and averaged by the closed expectation formula, r = 1..orders;
+    each distinct power is averaged once for all orders."""
     scale = Fraction(1, math.perm(n, k))
     x = ObservableExpansion(
         {nu: c.eval_at(q0) * scale for nu, c in sigma_q_in_sigma((k,)).terms.items()}
     )
 
+    @cache
     def expectation(a: ObservableExpansion) -> QRat:
         return asymptotics.expectation_of_expansion(a, n, q0)
 

@@ -362,6 +362,18 @@ def test_expect_rejects_a_negative_n(family, route, capsys):
     assert (code, out, err) == (2, "", "error: n must be nonnegative\n")
 
 
+def test_expect_brute_past_the_enumeration_guard_exits_two(capsys):
+    code, out, err = run_cli(["expect", "--mu", "2", "--n", "31", "--brute"], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == "error: n = 31 exceeds enumeration guard 30\n"
+
+
+def test_clt_refuses_repeated_ks(capsys):
+    code, out, err = run_cli(CLT_ARGS + ["--ks", "2,2"], capsys)
+    assert_one_error_line(code, out, err)
+    assert "ks" in err
+
+
 @pytest.mark.parametrize("where", ["out-dir-missing", "out-is-a-dir", "config-missing"])
 def test_a_file_that_cannot_be_opened_exits_two(where, tmp_path, capsys):
     flag, path = {

@@ -196,7 +196,7 @@ class TestStatW:
     def test_guards(self):
         with pytest.raises(ValueError):
             stat_w((3, 1), 1, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\|mu\| = 4 exceeds \|lam\| = 3"):
             stat_w((2, 1), 4, 0.5)
 
     def test_zero_mean_over_two_box_measure(self):

@@ -43,6 +43,10 @@ def test_config_rejects_bad_ks():
         RunConfig(n=10, q=0.5, num_samples=500, ks=(1, 2))
     with pytest.raises(ValueError):
         RunConfig(n=10, q=0.5, num_samples=500, ks=(2, 11))
+    # a repeated k would report its checks twice and a covariance of W_k with itself
+    for ks in [(2, 2), (3, 2, 3)]:
+        with pytest.raises(ValueError, match="ks must be distinct"):
+            RunConfig(n=10, q=0.5, num_samples=300, ks=ks, sampler="exact", bootstrap=0)
 
 
 def test_config_rejects_unknown_sampler_and_workers():
@@ -243,6 +247,16 @@ def test_worker_count_invariance(method, n):
     ]
     assert draws[0] == draws[1] == draws[2]
     assert len(draws[0]) == count
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("count", [0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1,
+                                   2 * SAMPLE_CHUNK + 1])
+def test_draw_is_the_chunks_in_index_order(count, workers):
+    full, rem = divmod(count, SAMPLE_CHUNK)
+    sizes = [SAMPLE_CHUNK] * full + ([rem] if rem else [])
+    want = [lam for j, m in enumerate(sizes) for lam in sample_exact_chunk(7, 0.5, 5, j, m)]
+    assert sample_partitions(7, 0.5, count, 5, method="exact", workers=workers) == want
 
 
 @pytest.mark.parametrize("method", ["exact", "rsk", "growth"])

@@ -292,6 +292,19 @@ class TestJointCumulant:
         with pytest.raises(ValueError):
             joint_cumulant(lambda a: eval_expansion(a, (2,)), [])
 
+    def test_each_multiset_of_a_block_is_averaged_once(self):
+        # the 10 blocks of the 5 set partitions of {x, x, y} hold 5 multisets:
+        # x, y, xx, xy, xxy
+        seen = []
+
+        def E(a):
+            seen.append(a)
+            return eval_expansion(a, (3, 1))
+
+        x, y = sigma((2,)), sigma((1,))
+        assert joint_cumulant(E, [x, x, y]) == ZERO
+        assert len(seen) == len(set(seen)) == 5
+
 
 def one_variable_cumulants(m1, m2, m3, m4):
     """kappa_1..kappa_4 of one variable from its raw moments, written out."""

@@ -293,6 +293,27 @@ class TestQRat:
     def test_negative_power(self):
         r = QRat(qint(2))
         assert r ** -2 == ONE / (r * r)
+        with pytest.raises(ZeroDivisionError):
+            ZERO**-1
+
+    @given(st.one_of(st.just(ZERO), qrats()))
+    def test_power_is_the_repeated_product(self, r):
+        # == is structural, so the power is in canonical form too
+        acc = ONE
+        for n in range(6):
+            assert r**n == acc
+            acc = acc * r
+
+    def test_hash_agrees_with_eq(self):
+        # a constant compares equal to its int or Fraction, so hashes as it
+        for value in (0, 3, -7, Fraction(3, 4), Fraction(-5, 2)):
+            r = QRat(value)
+            assert r == value and hash(r) == hash(value)
+            assert len({r, value, Fraction(value)}) == 1
+            assert value in {r} and r in {value}
+        # a q-dependent one equals no scalar, and hashes as its parts
+        r = QRat(one_minus_q_int(2), qint(3))
+        assert hash(r) == hash((r.num, r.den))
 
     @given(qrats(), qrats(), qrats())
     def test_field_axioms(self, a, b, c):

@@ -5,6 +5,7 @@ the harness machinery: fault injection is actually detected and blamed
 on the right route, rendering is stable, and the summary counts add up.
 """
 
+from fractions import Fraction
 from types import SimpleNamespace
 
 from qplancherel import asymptotics, characters, selftest
@@ -41,6 +42,23 @@ def test_unmutated_routes_pass():
 
 def test_shape_targets_two_routes_agree():
     assert selftest.check_shape_targets_two_routes().passed
+
+
+def test_product_rule_averages_each_distinct_product_once(monkeypatch):
+    # x, x^2, x^3, x^4 for the cumulants of orders 1..4
+    seen = []
+    honest = asymptotics.expectation_of_expansion
+    monkeypatch.setattr(
+        asymptotics, "expectation_of_expansion", lambda a, n, q0: seen.append(a) or honest(a, n, q0)
+    )
+    got = selftest.product_rule_cumulants(3, 1000, Fraction(1, 2), 4)
+    assert len(seen) == len(set(seen)) == 4
+    assert got == (
+        Fraction(0),
+        Fraction(5157331, 1216965566250),
+        Fraction(3731181271390211, 1232730177138100620000000),
+        Fraction(4419988133538539403184843741, 1323901163353191323737251633120000000000),
+    )
 
 
 def test_shape_targets_two_routes_catch_a_wrong_route(monkeypatch):
