@@ -1,9 +1,12 @@
 """Limit covariances of the rescaled character statistics, and the exact
 approach to them at finite n.
 
-The limit covariance is computed along three independent routes: the
-partition double sum, its reduction through the Mobius inversion for
-additive class functions, and the closed form; agreement is exact
+The limit covariance cov(X_k, X_l) is q (1-q)^(k+l-3) times the pair term
+c d (1-q^(c-1)) (1-q^(d-1)) / (1-q^(c+d-1)) summed over part lengths c, d
+against a Mobius weight vector for k and one for l.  The partition double
+sum takes the weights enumerated over the partitions of k and l; its
+reduction takes the closed weights of the Mobius inversion for additive
+class functions.  Both are checked against the closed form by exact
 structural equality of reduced rational functions.
 
 At finite n and a rational q0 there is one exact route.  The expectation
@@ -47,69 +50,59 @@ from qplancherel.partitions import (
 from qplancherel.ratfunc import (
     QPoly,
     QRat,
-    ZERO,
     one_minus_q_int,
     one_minus_q_pow,
     qint,
     qrat_sum,
 )
 
-DOUBLE_SUM_MAX = 14  # k + l beyond this: partition grid too large
 SHAPE_MAX_ORDER = 4  # skewness and excess kurtosis need cumulants up to 4
 
 ClassFunction = Callable[[int], QRat]
 
 
 # ---------------------------------------------------------------------------
-# the three covariance routes
+# the covariance routes: one pair term, summed over pairs of part lengths
+
+@cache
+def _pair_term(c: int, d: int) -> QRat:
+    """c d (1-q^(c-1)) (1-q^(d-1)) / (1-q^(c+d-1)); zero when c or d is 1."""
+    num = QPoly.const(c * d) * one_minus_q_int(c - 1) * one_minus_q_int(d - 1)
+    return QRat(num, one_minus_q_int(c + d - 1))
+
 
 def limit_cov_z(mu: Partition, nu: Partition) -> QRat:
-    """Limit covariance of the rescaled symbols Z_mu, Z_nu.
-
-    q (1-q)^(|mu|+|nu|) / (1-q^(mu u nu)) times the part-pair sum; pairs
-    with a part equal to 1 contribute nothing (1 - q^0 = 0).
-    """
+    """Limit covariance of the rescaled symbols Z_mu, Z_nu:
+    q (1-q)^(|mu|+|nu|-1) / (1-q^(mu u nu)) times the pair terms of the
+    parts of mu and nu."""
     if not mu or not nu:
         raise ValueError("mu and nu must be nonempty")
-    inner = ZERO
-    for c in mu:
-        for d in nu:
-            if c == 1 or d == 1:
-                continue
-            num = QPoly.const(c * d) * one_minus_q_int(c - 1) * one_minus_q_int(d - 1)
-            den = one_minus_q_int(1) * one_minus_q_int(c + d - 1)
-            inner = inner + QRat(num, den)
     prefactor = QRat(
-        QPoly.monomial(1) * one_minus_q_pow((1,) * (size(mu) + size(nu))),
+        QPoly.monomial(1) * one_minus_q_pow((1,) * (size(mu) + size(nu) - 1)),
         one_minus_q_pow(union(mu, nu)),
     )
-    return prefactor * inner
+    return prefactor * qrat_sum(_pair_term(c, d) for c in mu for d in nu)
 
 
 def cov_double_sum(k: int, l: int) -> QRat:
-    """Partition-grid double sum for cov(X_k, X_l)."""
+    """Partition double sum for cov(X_k, X_l): over mu of k and nu of l,
+    (-1)^(len mu + len nu) / (z_mu z_nu) times the pair terms of their
+    parts, taken as one sum over part lengths."""
+    return _weighted_covariance(_partition_weights, k, l)
+
+
+def reduce_covariance_via_mobius(k: int, l: int) -> QRat:
+    """The double sum reduced by the Mobius inversion on both sides:
+    q (1-q)^(k+l-3) (f2(k-1)/(k-1) - f2(k)/k - f1(k-1)/(k-1) + f1(k)/k)."""
+    return _weighted_covariance(_closed_weights, k, l)
+
+
+def _weighted_covariance(weights: Callable[[int], Sequence[Fraction]], k: int, l: int) -> QRat:
+    # q (1-q)^(k+l-3) sum over c, d of w_k(c) w_l(d) pair(c, d)
     _check_kl(k, l)
-    if k + l > DOUBLE_SUM_MAX:
-        raise ValueError(f"k + l = {k + l} exceeds {DOUBLE_SUM_MAX}")
-    total = []
-    for mu in partitions_of(k):
-        for nu in partitions_of(l):
-            sign = -1 if (len(mu) + len(nu)) % 2 else 1
-            weight = Fraction(sign, z_of(mu) * z_of(nu))
-            for c in mu:
-                for d in nu:
-                    if c == 1 or d == 1:
-                        continue
-                    num = (
-                        QPoly.const(c * d)
-                        * one_minus_q_int(c - 1)
-                        * one_minus_q_int(d - 1)
-                    )
-                    total.append(
-                        QRat(num, one_minus_q_int(c + d - 1)) * weight
-                    )
-    prefactor = QRat(QPoly.monomial(1) * one_minus_q_pow((1,) * (k + l - 3)))
-    return prefactor * qrat_sum(total)
+    wl = weights(l)
+    total = _sum_by_length(lambda c: _sum_by_length(lambda d: _pair_term(c, d), wl), weights(k))
+    return QRat(QPoly.monomial(1) * one_minus_q_pow((1,) * (k + l - 3))) * total
 
 
 def cov_closed_form(k: int, l: int) -> QRat:
@@ -134,7 +127,12 @@ def _check_kl(k: int, l: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Mobius inversion for additive class functions
+# Mobius inversion for additive class functions.  For F additive over the
+# parts, F(lam) = sum of f(p) over the parts p of lam, the alternating
+# average sum over lam of n of (-1)^len(lam) F(lam) / z_lam is
+# sum_m f(m) w_n(m), w_n(m) the signed 1/z mass of the parts equal to m
+# (`_partition_weights`).  The theorem is that this vector is
+# `_closed_weights`: 1/(n-1) at n-1, -1/n at n, and 0 elsewhere.
 
 def poly_class_function(coeffs: Sequence) -> ClassFunction:
     """f(m) = sum_j coeffs[j] m^j with exact rational coefficients."""
@@ -147,13 +145,8 @@ def poly_class_function(coeffs: Sequence) -> ClassFunction:
 
 
 def f1_family(l: int) -> ClassFunction:
-    """f1(m) = m (1-q^(m-1)) (1-q^(l-1)) / (1-q^(m+l-1))."""
-
-    def f(m: int) -> QRat:
-        num = QPoly.const(m) * one_minus_q_int(m - 1) * one_minus_q_int(l - 1)
-        return QRat(num, one_minus_q_int(m + l - 1))
-
-    return f
+    """f1(m) = m (1-q^(m-1)) (1-q^(l-1)) / (1-q^(m+l-1)), the pair term over l."""
+    return lambda m: _pair_term(m, l) * Fraction(1, l)
 
 
 def f2_family(l: int) -> ClassFunction:
@@ -166,22 +159,16 @@ def mobius_brute(f: ClassFunction, n: int) -> QRat:
     F additive over the parts.
 
     Every partition is enumerated, but f is evaluated once per length m:
-    the sum is sum_m f(m) w_m, w_m the signed 1/z_lam mass of the parts
-    equal to m.
+    the sum is sum_m f(m) w_m over `_partition_weights`.
     """
     _check_mobius_n(n)
-    weights = [Fraction(0)] * (n + 1)
-    for lam in partitions_of(n):
-        w = Fraction(-1 if len(lam) % 2 else 1, z_of(lam))
-        for p in lam:
-            weights[p] += w
-    return _sum_by_length(f, weights)
+    return _sum_by_length(f, _partition_weights(n))
 
 
 def mobius_closed(f: ClassFunction, n: int) -> QRat:
     """Closed form of the same alternating average: f(n-1)/(n-1) - f(n)/n."""
     _check_mobius_n(n)
-    return f(n - 1) * Fraction(1, n - 1) - f(n) * Fraction(1, n)
+    return _sum_by_length(f, _closed_weights(n))
 
 
 def mobius_perm_brute(f: ClassFunction, n: int) -> QRat:
@@ -200,6 +187,21 @@ def mobius_perm_brute(f: ClassFunction, n: int) -> QRat:
     return _sum_by_length(f, [Fraction(c, math.factorial(n)) for c in counts])
 
 
+@cache
+def _partition_weights(n: int) -> tuple[Fraction, ...]:
+    # w[m]: sum over lam of n of (-1)^len(lam) / z_lam, once per part equal to m
+    weights = [Fraction(0)] * (n + 1)
+    for lam in partitions_of(n):
+        w = Fraction(-1 if len(lam) % 2 else 1, z_of(lam))
+        for p in lam:
+            weights[p] += w
+    return tuple(weights)
+
+
+def _closed_weights(n: int) -> tuple[Fraction, ...]:
+    return (Fraction(0),) * (n - 1) + (Fraction(1, n - 1), Fraction(-1, n))
+
+
 def _sum_by_length(f: ClassFunction, weights: Sequence[Fraction]) -> QRat:
     # sum over m >= 1 of f(m) weights[m], skipping zero weights
     return qrat_sum(f(m) * w for m, w in enumerate(weights) if m and w)
@@ -208,21 +210,6 @@ def _sum_by_length(f: ClassFunction, weights: Sequence[Fraction]) -> QRat:
 def _check_mobius_n(n: int) -> None:
     if n < 2:
         raise ValueError("the inversion formula requires n >= 2")
-
-
-def reduce_covariance_via_mobius(k: int, l: int) -> QRat:
-    """Covariance assembled from two closed-form Mobius reductions:
-    q (1-q)^(k+l-3) (f2(k-1)/(k-1) - f2(k)/k - f1(k-1)/(k-1) + f1(k)/k)."""
-    _check_kl(k, l)
-    f1, f2 = f1_family(l), f2_family(l)
-    bracket = (
-        f2(k - 1) * Fraction(1, k - 1)
-        - f2(k) * Fraction(1, k)
-        - f1(k - 1) * Fraction(1, k - 1)
-        + f1(k) * Fraction(1, k)
-    )
-    prefactor = QRat(QPoly.monomial(1) * one_minus_q_pow((1,) * (k + l - 3)))
-    return prefactor * bracket
 
 
 # ---------------------------------------------------------------------------

@@ -429,7 +429,7 @@ def theory_cov_matrix(ks: Sequence[int], q0: float) -> tuple[tuple[float, ...], 
     """Limit covariances of the W vector, evaluated exactly then floated."""
     qf = Fraction(q0)
     return tuple(
-        tuple(float(cov_closed_form(min(k, l), max(k, l)).eval_at(qf)) for l in ks)
+        tuple(float(cov_closed_form(k, l).eval_at(qf)) for l in ks)
         for k in ks
     )
 

@@ -15,7 +15,6 @@ observable-valued identity cumulants interpolate the two products.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import cache, reduce
 from operator import mul
@@ -190,16 +189,9 @@ def class_sum_coefficient(mu: Partition, n: int) -> int:
     k = size(mu)
     if k > n:
         return 0
-    mults = Counter(mu)
-    coeff = 1
-    for s, m in mults.items():
-        if s >= 2:
-            coeff *= s**m * math.factorial(m)
-    m1 = mults[1]
+    m1 = mu.count(1)
     # the 1s of mu land among the n-k fixed points
-    for t in range(m1):
-        coeff *= n - k + m1 - t
-    return coeff
+    return z_of(tuple(p for p in mu if p >= 2)) * math.perm(n - k + m1, m1)
 
 
 def project_to_class_sums(

@@ -352,7 +352,8 @@ class QRat:
         return Fraction(self.num.ints[0], self.num.den) if self.num else Fraction(0)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, QPoly)):
+        # a QPoly is never equal to a QRat, as QPoly.__eq__ already says
+        if isinstance(other, (int, Fraction)):
             other = QRat(other)
         return (
             isinstance(other, QRat)

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qplancherel.asymptotics import (
+    _closed_weights,
     _moment_table,
+    _partition_weights,
     cov_closed_form,
     cov_double_sum,
     cov_z_finite,
@@ -71,8 +73,8 @@ def test_closed_form_symmetry():
 
 def test_route_agreement():
     # exact structural equality of canonical rational functions
-    for k in range(2, 6):
-        for l in range(k, 6):
+    for k in range(2, 11):
+        for l in range(k, 11):
             a = cov_closed_form(k, l)
             assert cov_double_sum(k, l) == a
             assert reduce_covariance_via_mobius(k, l) == a
@@ -105,9 +107,9 @@ def test_route_guards():
     with pytest.raises(ValueError):
         cov_double_sum(2, 1)
     with pytest.raises(ValueError):
-        cov_double_sum(7, 8)
-    with pytest.raises(ValueError):
         reduce_covariance_via_mobius(0, 2)
+    # no cap on the double sum past k + l = 14
+    assert cov_double_sum(7, 8) == cov_closed_form(7, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +168,20 @@ def test_mobius_requires_n_at_least_two():
         mobius_brute(f, 1)
     with pytest.raises(ValueError):
         mobius_closed(f, 0)
+
+
+def test_partition_weights_are_the_closed_weights():
+    # the inversion theorem itself, as one vector per n
+    for n in range(2, 26):
+        assert _partition_weights(n) == _closed_weights(n)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permutation_counts_give_the_same_weights(n):
+    # f(m) = q^m makes the sum the generating polynomial of the weights
+    q_power = lambda m: QRat(QPoly.monomial(m))
+    weights = _partition_weights(n)
+    assert mobius_perm_brute(q_power, n) == qrat_sum(q_power(m) * w for m, w in enumerate(weights))
 
 
 def test_perm_brute_cap():

@@ -110,6 +110,12 @@ def test_cov_routes_agree_through_cli(capsys):
     assert outputs == {"1/70"}
 
 
+def test_doublesum_route_answers_past_k_plus_l_14(capsys):
+    closed = run_cli(["cov", "--k", "8", "--l", "8", "--route", "closed"], capsys)
+    assert closed[0] == 0
+    assert run_cli(["cov", "--k", "8", "--l", "8", "--route", "doublesum"], capsys) == closed
+
+
 def test_mobius_agreement(capsys):
     code, out, _ = run_cli(["mobius", "--n", "5", "--poly", "0,1/2,1"], capsys)
     assert code == 0

@@ -40,3 +40,36 @@ def test_sample_text_bytes(capsys):
     args = ["sample", "--n", "30", "--q", "1/2", "--count", "200", "--seed", "7"]
     digest = "2c5d2da8c27d5fc9e93f9fa99da982261d2d930571b8cb318dd39b9823792ddd"
     assert cli_digest(args, capsys) == digest
+
+
+def sweep_digest(calls, capsys) -> str:
+    """sha256 over the exit code, stderr and stdout of each call in turn,
+    refusals included."""
+    h = hashlib.sha256()
+    for args in calls:
+        code = cli.main(args)
+        captured = capsys.readouterr()
+        h.update(f"{args}\n{code}\n{captured.err}\n{captured.out}\n".encode())
+    return h.hexdigest()
+
+
+# k + l <= 14 throughout; k = 1 and n = 0, 1 are refusals, pinned as such
+COV_CALLS = [
+    ["cov", "--k", str(k), "--l", str(l), "--route", route, "--format", fmt, *q]
+    for route in ("closed", "doublesum", "mobius")
+    for k in range(1, 8)
+    for l in range(1, 8)
+    for q in ([], ["--q", "1/2"], ["--q", "2"])
+    for fmt in ("text", "json")
+]
+MOBIUS_CALLS = [
+    ["mobius", "--n", str(n), f"--poly={poly}", "--format", fmt]
+    for poly in ("1", "0,1", "-1,0,0,1", "1/2,-3,0,2/7")
+    for n in range(11)
+    for fmt in ("text", "json")
+]
+
+
+def test_cov_and_mobius_bytes(capsys):
+    digest = "bbac6bbbbb81b938499b4e539d4b81d64854f5dda0a1e68fa1cde94f84bb7308"
+    assert sweep_digest(COV_CALLS + MOBIUS_CALLS, capsys) == digest

@@ -315,6 +315,16 @@ class TestQRat:
         r = QRat(one_minus_q_int(2), qint(3))
         assert hash(r) == hash((r.num, r.den))
 
+    def test_eq_is_symmetric_and_equal_values_hash_alike(self):
+        # a QPoly equals no QRat and no scalar, whichever side it is on
+        values = [0, 2, Fraction(2), Fraction(3, 4), QPoly.const(2), qint(2), QRat(2),
+                  QRat(Fraction(3, 4)), QRat(qint(2)), QRat(one_minus_q_int(2), qint(3))]
+        for a in values:
+            for b in values:
+                assert (a == b) == (b == a), (a, b)
+                assert a != b or hash(a) == hash(b), (a, b)
+        assert len({QRat(qint(2)), qint(2)}) == 2
+
     @given(qrats(), qrats(), qrats())
     def test_field_axioms(self, a, b, c):
         assert a + b == b + a
