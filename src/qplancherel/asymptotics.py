@@ -16,7 +16,7 @@ at most d boxes and extended to any n by forward differences.  One joint
 moment table per (xs, order, q0) holds them for every product of at most
 `order` of the xs, as integer sums with one denominator per diagram size,
 from one pass over the diagrams; joint cumulants are read off it by the
-one moment-cumulant rule, `observables.cumulant_from_moments`.  The
+one first-block moment-cumulant rule, `observables.cumulants`.  The
 covariance of the rescaled symbols, their third cumulant, and the
 cumulants of the q-character (whose skewness and excess kurtosis are the
 report's shape targets) all come from it, with no bound on n; the
@@ -37,7 +37,7 @@ from qplancherel.characters import sigma_eval
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import expectation_sigma, measure_table
 from qplancherel.observables import (
-    PRODUCT_SIZE_LIMIT, ObservableExpansion, cumulant_from_moments
+    PRODUCT_SIZE_LIMIT, ObservableExpansion, cumulants
 )
 from qplancherel.partitions import (
     Partition,
@@ -248,20 +248,16 @@ def q_char_cumulants_at(k: int, n: int, q0: Fraction | float) -> tuple[Fraction,
         raise ValueError(f"k = {k} exceeds n = {n}")
     top = min(SHAPE_MAX_ORDER, PRODUCT_SIZE_LIMIT // k)
     ff = math.perm(n, k)
-    moment = _table_at((sigma_q_in_sigma((k,)),), top, n, q0)
-    return tuple(
-        cumulant_from_moments(lambda block: moment[(0,) * len(block)], r) / ff**r
-        for r in range(1, top + 1)
-    )
+    kappa = cumulants(_table_at((sigma_q_in_sigma((k,)),), top, n, q0).__getitem__)
+    return tuple(kappa((0,) * r) / ff**r for r in range(1, top + 1))
 
 
 def joint_cumulant_at(xs: Sequence[ObservableExpansion], n: int, q0: Fraction) -> Fraction:
     """Exact joint cumulant kappa(x_1, ..., x_r) under M_{n,q0}, read off
     the moment table of the distinct x_i at order r."""
     distinct = tuple(dict.fromkeys(xs))
-    slots = [distinct.index(x) for x in xs]
     moment = _table_at(distinct, len(xs), n, q0)
-    return cumulant_from_moments(lambda b: moment[tuple(sorted(slots[i] for i in b))], len(xs))
+    return cumulants(moment.__getitem__)(tuple(sorted(map(distinct.index, xs))))
 
 
 def _table_at(

@@ -531,7 +531,7 @@ def main(argv=None) -> int:
                 fh.write(text)
         else:
             sys.stdout.write(text)
-    except (CliError, ValueError, RuntimeError, OSError) as exc:
+    except (CliError, ValueError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

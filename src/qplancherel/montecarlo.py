@@ -148,6 +148,8 @@ def sample_partitions(
     _check_draw(q0, method, workers)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     tasks = [
         (method, n, q0, seed, j, min(SAMPLE_CHUNK, count - start))
         for j, start in enumerate(range(0, count, SAMPLE_CHUNK))

@@ -6,16 +6,15 @@ concatenates indices.  The ordinary product is read off the character
 tables of S_m, one level m = |lam| at a time: there Sigma_sigma with
 |sigma| = m - j equals Sigma_{sigma 1^j} / j!, and column orthogonality
 turns the values Sigma_mu(lam) Sigma_nu(lam) into the level's
-coefficients with no linear solve (`product_sigma`).  A joint cumulant
-is the one moment-cumulant inversion over set partitions
-(`cumulant_from_moments`) of the moments of ordinary products; the
-observable-valued identity cumulants interpolate the two products.
+coefficients with no linear solve (`product_sigma`).  One first-block
+moment-cumulant rule (`cumulants`) gives the joint cumulants of ordinary
+products and the observable-valued identity cumulants, whose blocks are
+joined by the disjoint product.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import cache, reduce
 from operator import mul
 from typing import Callable, Mapping, Sequence
@@ -215,17 +214,27 @@ def project_to_class_sums(
 # ---------------------------------------------------------------------------
 # cumulants
 
-def cumulant_from_moments(
-    moment: Callable[[tuple[int, ...]], Fraction | QRat], r: int
-) -> Fraction | QRat:
-    """The moment-cumulant inversion: the joint cumulant of r variables is
-    the sum over set partitions pi of {0, ..., r-1} of (-1)^(|pi|-1)
-    (|pi|-1)! prod_(B in pi) moment(B), moment(B) the moment of the
-    product of the variables in block B, a Fraction or a QRat."""
-    return sum(
-        (-1) ** (len(pi) - 1) * math.factorial(len(pi) - 1) * reduce(mul, map(moment, pi))
-        for pi in set_partitions_of(r)
-    )
+def cumulants(moment: Callable[[tuple], object], product: Callable = mul) -> Callable:
+    """The moment-cumulant rule: kappa(key) is moment(key) less
+    product(kappa(inside), moment(outside)) over the 2^(r-1) - 1 splits of
+    key whose inside holds key[0] and is not all of key.  A key is a sorted
+    tuple of labels, equal ones for equal variables; moment and kappa are
+    cached, so each multiset's moment and cumulant is formed once."""
+    moment = cache(moment)
+
+    @cache
+    def kappa(key):
+        if not key:
+            raise ValueError("need at least one variable")
+        first, rest = key[:1], key[1:]
+        out = moment(key)
+        for mask in range(2 ** len(rest) - 1):  # the proper subsets of rest
+            inside = first + tuple(x for i, x in enumerate(rest) if mask >> i & 1)
+            outside = tuple(x for i, x in enumerate(rest) if not mask >> i & 1)
+            out = out - product(kappa(inside), moment(outside))
+        return out
+
+    return kappa
 
 
 def joint_cumulant(
@@ -234,37 +243,24 @@ def joint_cumulant(
 ) -> QRat:
     """Joint cumulant of the xs; a block's moment is the expectation of its
     product, formed and averaged once per multiset of the block's xs."""
-    first = [xs.index(x) for x in xs]  # equal xs share the index of the first
-    moment = cache(lambda key: expectation(reduce(mul, (xs[i] for i in key))))
-    return cumulant_from_moments(
-        lambda block: moment(tuple(sorted(first[i] for i in block))), len(xs)
-    )
+    key = tuple(sorted(xs.index(x) for x in xs))  # equal xs share the index of the first
+    return cumulants(lambda block: expectation(reduce(mul, (xs[i] for i in block))))(key)
 
 
-@cache
 def identity_cumulant(ks: tuple[int, ...]) -> ObservableExpansion:
     """Observable-valued cumulant interpolating the two products.
 
     Defined by Sigma_{k_1} ... Sigma_{k_r} = sum over set partitions pi
-    of the disjoint product of the identity cumulants of the blocks.
-    Grouped by the block B that holds k_1, the other blocks sum to the
-    product of their Sigma_k: kappa(ks) is that product less
-    kappa(ks_B) . prod_{i not in B} Sigma_{k_i} over the 2^(r-1) - 1
-    blocks B other than all of ks.  kappa is symmetric, so the recursion
-    runs on ks in decreasing order.
+    of the disjoint product of the identity cumulants of the blocks: the
+    moment-cumulant rule with the ordinary product of the Sigma_k as the
+    moment and the disjoint product joining the blocks.  kappa is
+    symmetric, so it is keyed by ks in decreasing order.
     """
     if not ks:
         raise ValueError("need at least one cycle length")
     if min(ks) < 1:
         raise ValueError(f"cycle lengths must be at least 1, got ks = {ks}")
-    ks = tuple(sorted(ks, reverse=True))
-    first, rest = ks[0], ks[1:]
-    out = _sigma_product(ks)
-    for mask in range(2 ** len(rest) - 1):  # the proper subsets of rest
-        inside = (first,) + tuple(k for i, k in enumerate(rest) if mask >> i & 1)
-        outside = tuple(k for i, k in enumerate(rest) if not mask >> i & 1)
-        out = out - disjoint_product(identity_cumulant(inside), _sigma_product(outside))
-    return out
+    return _identity_cumulants(tuple(sorted(ks, reverse=True)))
 
 
 @cache
@@ -272,6 +268,9 @@ def _sigma_product(ks: Partition) -> ObservableExpansion:
     """The ordinary product Sigma_{k_1} ... Sigma_{k_r}, in the order of ks."""
     last = ObservableExpansion.sigma(ks[-1:])
     return last if len(ks) == 1 else _sigma_product(ks[:-1]) * last
+
+
+_identity_cumulants = cumulants(_sigma_product, disjoint_product)
 
 
 def transitive_cumulant_oracle(ks: Sequence[int]) -> ObservableExpansion:

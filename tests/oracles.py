@@ -9,8 +9,9 @@ normalized characters in log space; the RSK shape of a word by
 inserting its letters one at a time; the coherent growth process one
 shape and one box at a time; the bootstrap covariances by one
 `np.cov` per resample; the forward-difference moment table with every
-term a Fraction product; and the product Sigma_mu Sigma_nu by
-enumerating partial matchings of cycle positions.
+term a Fraction product; the joint cumulant as the sum over set
+partitions of products of block moments; and the product Sigma_mu
+Sigma_nu by enumerating partial matchings of cycle positions.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import math
 import re
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, wraps
+from functools import cache, reduce, wraps
 from itertools import accumulate
+from operator import mul
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from qplancherel.partitions import (
     covers_of,
     cycle_type,
     partitions_of,
+    set_partitions_of,
     size,
     z_of,
 )
@@ -341,6 +344,18 @@ def moment_differences_by_fractions(
         diffs.append(tuple(rows[0]))
         rows = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(rows, rows[1:])]
     return tuple(diffs)
+
+
+def cumulant_by_set_partitions(moment, key: tuple):
+    """The joint cumulant of the variables labelled by key: the sum over
+    set partitions pi of its positions of (-1)^(|pi|-1) (|pi|-1)! times
+    the product over the blocks B of moment(sorted labels of B)."""
+    return sum(
+        (-1) ** (len(pi) - 1)
+        * math.factorial(len(pi) - 1)
+        * reduce(mul, (moment(tuple(sorted(key[i] for i in block))) for block in pi))
+        for pi in set_partitions_of(len(key))
+    )
 
 
 def product_sigma_by_matchings(mu: Partition, nu: Partition) -> ObservableExpansion:

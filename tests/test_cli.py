@@ -380,6 +380,31 @@ def test_clt_refuses_repeated_ks(capsys):
     assert "ks" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cov", "--k", "2", "--l", "2", "--q", "1/0"], "Fraction(1, 0)"),
+        (["measure", "--n", "4", "--q", "1/0"], "Fraction(1, 0)"),
+        (["clt", "--n", "12", "--q", "1/0", "--count", "100"], "Fraction(1, 0)"),
+        (["expect", "--mu", "2", "--n", "3", "--q", "-1"], "pole at q = -1"),
+    ],
+)
+def test_an_arithmetic_error_is_one_error_line(argv, message, capsys):
+    # a zero denominator in --q, or a pole of the formula at q
+    code, out, err = run_cli(argv, capsys)
+    assert_one_error_line(code, out, err)
+    assert message in err
+
+
+@pytest.mark.parametrize("method", ["rsk", "growth", "exact"])
+@pytest.mark.parametrize("n, q", [("-1", "1/2"), ("-3", "2")])
+def test_sample_refuses_a_negative_n(n, q, method, capsys):
+    argv = ["sample", "--n", n, "--q", q, "--count", "3", "--method", method]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: n must be >= 0, got {n}\n"
+
+
 @pytest.mark.parametrize("where", ["out-dir-missing", "out-is-a-dir", "config-missing"])
 def test_a_file_that_cannot_be_opened_exits_two(where, tmp_path, capsys):
     flag, path = {

@@ -73,7 +73,9 @@ def test_config_rejects_a_gate_that_cannot_test(field, value):
 @pytest.mark.parametrize(
     "kwargs, message",
     [({"count": -3}, "count must be >= 0"), ({"workers": 0}, "workers must be >= 1"),
-     ({"workers": -5}, "workers must be >= 1"), ({"method": "magic"}, "unknown sampler 'magic'")],
+     ({"workers": -5}, "workers must be >= 1"), ({"method": "magic"}, "unknown sampler 'magic'")]
+    + [({"n": -1, "method": m}, "n must be >= 0, got -1") for m in ("rsk", "growth", "exact")]
+    + [({"n": -3, "q0": 2.0}, "n must be >= 0, got -3")],
 )
 def test_sample_partitions_rejects_what_it_cannot_draw(kwargs, message):
     args = {"n": 6, "q0": 0.5, "count": 10, "seed": 0} | kwargs

@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +11,7 @@ from qplancherel.groupcenter import class_product
 from qplancherel.observables import (
     ObservableExpansion,
     class_sum_coefficient,
-    cumulant_from_moments,
+    cumulants,
     disjoint_product,
     eval_expansion,
     expansion_str,
@@ -29,7 +29,7 @@ from qplancherel.partitions import (
 )
 from qplancherel.ratfunc import QPoly, QRat, ZERO
 
-from oracles import product_sigma_by_matchings
+from oracles import cumulant_by_set_partitions, product_sigma_by_matchings
 
 sigma = ObservableExpansion.sigma
 
@@ -331,9 +331,37 @@ def test_cumulant_from_moments_of_one_variable(moments):
     # a block's moment depends only on its size for one variable
     want = one_variable_cumulants(*moments)
     for r in range(1, 5):
-        got = cumulant_from_moments(lambda block: moments[len(block) - 1], r)
+        got = cumulants(lambda block: moments[len(block) - 1])((0,) * r)
         assert got == want[r - 1]
         assert type(got) is type(moments[0])
+
+
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+# a + b q over 1 or 1 - q: products stay small, and denominators still cancel
+qrats = st.builds(
+    lambda a, b, c: (a + b * Q) / (1 - c * Q), fractions, fractions, st.sampled_from([0, 1])
+)
+
+
+@given(
+    st.lists(st.integers(0, 2), min_size=1, max_size=5),
+    st.sampled_from([fractions, qrats]),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_cumulants_equal_the_set_partition_sum(labels, values, data):
+    # up to 5 labels over 3 variables, so that labels repeat; one drawn
+    # moment per sub-multiset of the key
+    key = tuple(sorted(labels))
+    blocks = sorted({b for r in range(1, len(key) + 1) for b in combinations(key, r)})
+    drawn = data.draw(st.lists(values, min_size=len(blocks), max_size=len(blocks)))
+    moment = dict(zip(blocks, drawn)).__getitem__
+    assert cumulants(moment)(key) == cumulant_by_set_partitions(moment, key)
+
+
+def test_cumulants_refuse_an_empty_key():
+    with pytest.raises(ValueError, match="at least one variable"):
+        cumulants(lambda block: Fraction(1))(())
 
 
 class TestIdentityCumulant:

@@ -1,4 +1,4 @@
-"""Byte-identity guard: the sha256 of two seeded outputs, pinned.
+"""Byte-identity guard: the sha256 of seeded outputs and of CLI sweeps, pinned.
 
 A change that alters a drawn sequence or a report's bytes fails here
 instead of passing silently.  If the change is meant, say so as a
@@ -10,6 +10,7 @@ import hashlib
 import pytest
 
 from qplancherel import cli
+from qplancherel.partitions import partitions_of
 
 CLT_ARGS = [
     "clt", "--n", "60", "--q", "1/2", "--count", "600", "--sampler", "rsk",
@@ -73,3 +74,18 @@ MOBIUS_CALLS = [
 def test_cov_and_mobius_bytes(capsys):
     digest = "bbac6bbbbb81b938499b4e539d4b81d64854f5dda0a1e68fa1cde94f84bb7308"
     assert sweep_digest(COV_CALLS + MOBIUS_CALLS, capsys) == digest
+
+
+# every ks with sum(ks) <= 8, in decreasing order, and four refusals
+IDCUM_CALLS = [
+    ["idcum", "--ks", ks, "--format", fmt]
+    for ks in [
+        ",".join(map(str, lam)) for m in range(1, 9) for lam in partitions_of(m)
+    ] + ["2,0", "0", "-1", ","]
+    for fmt in ("text", "json")
+]
+
+
+def test_identity_cumulant_bytes(capsys):
+    digest = "28bbda4e4ac17251670a19e91e8305f54a2f39b9027ac1faa1de05afd4496684"
+    assert sweep_digest(IDCUM_CALLS, capsys) == digest
