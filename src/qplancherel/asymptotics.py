@@ -30,10 +30,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement, permutations as iter_permutations
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 from qplancherel.characters import sigma_eval
+from qplancherel.groupcenter import perms_by_type
 from qplancherel.hecke import sigma_q_in_sigma
 from qplancherel.measure import expectation_sigma, measure_table
 from qplancherel.observables import (
@@ -41,7 +42,6 @@ from qplancherel.observables import (
 )
 from qplancherel.partitions import (
     Partition,
-    cycle_type,
     partitions_of,
     size,
     union,
@@ -173,15 +173,15 @@ def mobius_closed(f: ClassFunction, n: int) -> QRat:
 
 def mobius_perm_brute(f: ClassFunction, n: int) -> QRat:
     """Original statement: average of (-1)^(number of cycles) F(sigma)
-    over all n! permutations, by direct enumeration of their cycles; f
-    is evaluated once per cycle length, as in `mobius_brute`."""
+    over all n! permutations, enumerated by `perms_by_type` and counted
+    once per cycle type; f is evaluated once per cycle length, as in
+    `mobius_brute`."""
     _check_mobius_n(n)
     if n > 7:
         raise ValueError("permutation enumeration capped at n = 7")
     counts = [0] * (n + 1)
-    for p in iter_permutations(range(n)):
-        lengths = cycle_type(p)
-        sign = 1 if len(lengths) % 2 == 0 else -1
+    for lengths, perms in perms_by_type(n).items():
+        sign = len(perms) if len(lengths) % 2 == 0 else -len(perms)
         for length in lengths:
             counts[length] += sign
     return _sum_by_length(f, [Fraction(c, math.factorial(n)) for c in counts])

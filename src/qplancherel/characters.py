@@ -64,9 +64,9 @@ def _strip_sum(lam: Partition, parts: Partition) -> int:
         return dim_of(lam)
     k, rest = parts[0], parts[1:]
     total = 0
-    for s in border_strips_of(lam, k):
-        term = _strip_sum(s.shape_after, rest)
-        total += -term if s.height % 2 else term
+    for height, shape_after in border_strips_of(lam, k):
+        term = _strip_sum(shape_after, rest)
+        total += -term if height % 2 else term
     return total
 
 

@@ -10,9 +10,10 @@ Each command offers only the options it reads: --format, --out and
 --config everywhere, --seed and --workers where shapes are drawn
 (sample, clt).  Every option can also come from a key = value config
 file passed with --config; explicit command-line values win, and a clt
-run takes RunConfig's defaults for the rest.  Numeric q is accepted as
-a decimal or an exact fraction like 1/2 and is kept exact wherever the
-computation is symbolic.
+run takes RunConfig's defaults for the rest.  An option's kind converts
+its text, from either source, in one step; a refusal names the option.
+Numeric q is accepted as a decimal or an exact fraction like 1/2 and is
+kept exact wherever the computation is symbolic.
 
 Output has one path.  A command computes its result and returns its
 forms, {format: zero-argument render}, default format first, with its
@@ -32,6 +33,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from qplancherel import selftest as selftest_mod
 from qplancherel.asymptotics import (
@@ -58,6 +60,7 @@ from qplancherel.measure import (
 )
 from qplancherel.montecarlo import (
     RunConfig,
+    _check_ks,
     estimate_cumulants,
     evaluate_stats,
     run_clt,
@@ -83,10 +86,26 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
+def _cycle_lengths(s: str) -> tuple[int, ...]:
+    return tuple(int(t) for t in s.replace(" ", "").split(",") if t)
+
+
+def _fractions(s: str) -> list[Fraction]:
+    return [Fraction(t.strip()) for t in s.split(",")]
+
+
+def _on_off(s: str) -> bool:
+    if s.lower() in ("1", "true", "yes", "on"):
+        return True
+    if s.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"takes 1/true/yes/on or 0/false/no/off, not {s!r}")
+
+
 @dataclass(frozen=True)
 class Opt:
     name: str
-    kind: str  # int | q | partition | ks | fractions | bool | str
+    kind: Callable[[str], object]  # turns the option's text into its value
     default: object = None
     required: bool = False
     help: str = ""
@@ -94,34 +113,10 @@ class Opt:
 
 
 GLOBAL_OPTS = [
-    Opt("format", "str", None, help="output format", choices=("text", "json", "csv")),
-    Opt("out", "str", None, help="write output to this path instead of stdout"),
-    Opt("config", "str", None, help="key = value file supplying defaults"),
+    Opt("format", str, None, help="output format", choices=("text", "json", "csv")),
+    Opt("out", str, None, help="write output to this path instead of stdout"),
+    Opt("config", str, None, help="key = value file supplying defaults"),
 ]
-
-
-def _convert(opt: Opt, raw):
-    if raw is None or isinstance(raw, (bool, int, tuple, list, Fraction)):
-        return raw
-    s = str(raw).strip()
-    if opt.kind == "int":
-        return int(s)
-    if opt.kind == "q":
-        return Fraction(s)
-    if opt.kind == "partition":
-        return parse_partition(s)
-    if opt.kind == "ks":
-        parts = [t for t in s.replace(" ", "").split(",") if t]
-        return tuple(int(t) for t in parts)
-    if opt.kind == "fractions":
-        return [Fraction(t.strip()) for t in s.split(",")]
-    if opt.kind == "bool":
-        if s.lower() in ("1", "true", "yes", "on"):
-            return True
-        if s.lower() in ("0", "false", "no", "off"):
-            return False
-        raise CliError(f"--{opt.name} takes 1/true/yes/on or 0/false/no/off, not {s!r}")
-    return s
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -259,10 +254,12 @@ def cmd_expect(o) -> tuple[dict, int]:
 
 def cmd_sample(o) -> tuple[dict, int]:
     q0 = float(o["q"])
+    if o["stats"] is not None:
+        _check_ks(o["stats"], o["n"])
     shapes = sample_partitions(
         o["n"], q0, o["count"], o["seed"], method=o["method"], workers=o["workers"]
     )
-    if o["stats"]:
+    if o["stats"] is not None:
         w = evaluate_stats(shapes, o["stats"], q0)
         est = estimate_cumulants(w, seed=o["seed"], bootstrap=0)
         return {
@@ -364,112 +361,112 @@ def cmd_selftest(o) -> tuple[dict, int]:
 COMMANDS: dict[str, tuple[str, list[Opt], object]] = {
     "selftest": (
         "run the exact identity suite",
-        [Opt("full", "bool", False, help="also run the sampling suites")],
+        [Opt("full", _on_off, False, help="also run the sampling suites")],
         cmd_selftest,
     ),
     "measure": (
         "measure table at rank n",
         [
-            Opt("n", "int", required=True),
-            Opt("q", "q", help="floats at this q; exact rational functions of q if omitted"),
+            Opt("n", int, required=True),
+            Opt("q", Fraction, help="floats at this q; exact rational functions of q if omitted"),
         ],
         cmd_measure,
     ),
     "chartable": (
         "exact character table of rank n",
-        [Opt("n", "int", required=True)],
+        [Opt("n", int, required=True)],
         cmd_chartable,
     ),
     "product": (
         "structure constants of Sigma_mu Sigma_nu",
         [
-            Opt("mu", "partition", required=True),
-            Opt("nu", "partition", required=True),
+            Opt("mu", parse_partition, required=True),
+            Opt("nu", parse_partition, required=True),
         ],
         cmd_product,
     ),
     "idcum": (
         "identity cumulant of the given cycle lengths",
-        [Opt("ks", "ks", required=True)],
+        [Opt("ks", _cycle_lengths, required=True)],
         cmd_idcum,
     ),
     "ram": (
         "change of basis between the two symbol families",
-        [Opt("rho", "partition", required=True)],
+        [Opt("rho", parse_partition, required=True)],
         cmd_ram,
     ),
     "qchar": (
         "normalized deformed character value",
         [
-            Opt("lambda", "partition", required=True),
-            Opt("mu", "partition", required=True),
-            Opt("q", "q", help="evaluate exactly at this q; symbolic if omitted"),
+            Opt("lambda", parse_partition, required=True),
+            Opt("mu", parse_partition, required=True),
+            Opt("q", Fraction, help="evaluate exactly at this q; symbolic if omitted"),
         ],
         cmd_qchar,
     ),
     "expect": (
         "expectation of a symbol under the rank-n measure",
         [
-            Opt("mu", "partition", required=True),
-            Opt("n", "int", required=True),
-            Opt("q", "q"),
-            Opt("family", "str", "sigma", choices=tuple(_FAMILIES)),
-            Opt("brute", "bool", False, help="full enumeration instead of closed form"),
+            Opt("mu", parse_partition, required=True),
+            Opt("n", int, required=True),
+            Opt("q", Fraction),
+            Opt("family", str, "sigma", choices=tuple(_FAMILIES)),
+            Opt("brute", _on_off, False, help="full enumeration instead of closed form"),
         ],
         cmd_expect,
     ),
     "sample": (
         "draw shapes from the measure",
         [
-            Opt("n", "int", required=True),
-            Opt("q", "q", required=True),
-            Opt("count", "int", 1000),
-            Opt("method", "str", "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
-            Opt("stats", "ks", help="aggregate W statistics for these k instead"),
-            Opt("seed", "int", 0, help="master seed for anything random"),
-            Opt("workers", "int", 1, help="worker processes for sampling"),
+            Opt("n", int, required=True),
+            Opt("q", Fraction, required=True),
+            Opt("count", int, 1000),
+            Opt("method", str, "rsk", choices=tuple(SAMPLER_CHUNK_FNS)),
+            Opt("stats", _cycle_lengths, help="aggregate W statistics for these k instead"),
+            Opt("seed", int, 0, help="master seed for anything random"),
+            Opt("workers", int, 1, help="worker processes for sampling"),
         ],
         cmd_sample,
     ),
     "cov": (
         "limit covariance of the rescaled statistics",
         [
-            Opt("k", "int", required=True),
-            Opt("l", "int", required=True),
-            Opt("q", "q", help="evaluate exactly at this q; symbolic if omitted"),
-            Opt("route", "str", "closed", choices=tuple(_COV_ROUTES)),
+            Opt("k", int, required=True),
+            Opt("l", int, required=True),
+            Opt("q", Fraction, help="evaluate exactly at this q; symbolic if omitted"),
+            Opt("route", str, "closed", choices=tuple(_COV_ROUTES)),
         ],
         cmd_cov,
     ),
     "mobius": (
         "alternating average of an additive class function",
         [
-            Opt("n", "int", required=True),
-            Opt("poly", "fractions", required=True, help="f coefficients, ascending"),
+            Opt("n", int, required=True),
+            Opt("poly", _fractions, required=True, help="f coefficients, ascending"),
         ],
         cmd_mobius,
     ),
     "basis": (
         "transition matrices between the p and h bases",
         [
-            Opt("degree", "int", required=True),
-            Opt("which", "str", "both", choices=(*_TRANSITIONS, "both")),
+            Opt("degree", int, required=True),
+            Opt("which", str, "both", choices=(*_TRANSITIONS, "both")),
         ],
         cmd_basis,
     ),
     "clt": (
         "sample, estimate cumulants, compare with the exact limits",
         [
-            Opt("n", "int", required=True),
-            Opt("q", "q", required=True),
-            Opt("count", "int", 20_000),
-            Opt("ks", "ks"),
-            Opt("sampler", "str", choices=tuple(SAMPLER_CHUNK_FNS)),
-            Opt("bootstrap", "int"),
-            Opt("skip-gate", "bool", help="waive the sampler fit gate"),
-            Opt("gate-draws", "int"),
-            Opt("seed", "int", help="master seed for anything random"),
-            Opt("workers", "int", help="worker processes for sampling"),
+            Opt("n", int, required=True),
+            Opt("q", Fraction, required=True),
+            Opt("count", int, 20_000),
+            Opt("ks", _cycle_lengths),
+            Opt("sampler", str, choices=tuple(SAMPLER_CHUNK_FNS)),
+            Opt("bootstrap", int),
+            Opt("skip-gate", _on_off, help="waive the sampler fit gate"),
+            Opt("gate-draws", int),
+            Opt("seed", int, help="master seed for anything random"),
+            Opt("workers", int, help="worker processes for sampling"),
         ],
         cmd_clt,
     ),
@@ -486,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         for opt in opts + GLOBAL_OPTS:
             kwargs = dict(dest=opt.name.replace("-", "_"), default=None, help=opt.help)
-            if opt.kind == "bool":
+            if opt.kind is _on_off:
                 kwargs["action"] = argparse.BooleanOptionalAction
             if opt.choices:
                 kwargs["choices"] = opt.choices
@@ -505,7 +502,10 @@ def _resolve_options(args: argparse.Namespace, opts: list[Opt]) -> dict:
             raw = config[dest]
         if raw is None:
             raw = opt.default
-        value = _convert(opt, raw)
+        try:  # a flag's True/False and a typed default are values already
+            value = opt.kind(raw.strip()) if isinstance(raw, str) else raw
+        except (ValueError, ArithmeticError) as exc:
+            raise CliError(f"--{opt.name}: {exc}") from None
         if value is None and opt.required:
             raise CliError(f"missing required option --{opt.name}")
         if opt.choices and value is not None and value not in opt.choices:

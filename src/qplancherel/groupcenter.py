@@ -2,7 +2,8 @@
 
 Used as the independent oracle for the projection homomorphism: class
 sums are multiplied by explicit convolution over all of S_n, never via
-characters or the Sigma-product being validated.
+characters or the Sigma-product being validated.  The same enumeration of
+S_n by cycle type is the Mobius oracle `asymptotics.mobius_perm_brute`.
 """
 
 from __future__ import annotations

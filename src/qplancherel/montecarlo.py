@@ -98,12 +98,7 @@ class RunConfig:
         _check_draw(self.q, self.sampler, self.workers)
         if self.num_samples < 100:
             raise ValueError("at least 100 samples are required")
-        if not self.ks:
-            raise ValueError("ks must be nonempty")
-        if len(set(self.ks)) < len(self.ks):
-            raise ValueError(f"ks must be distinct, got ks = {self.ks}")
-        if any(k < 2 or k > self.n for k in self.ks):
-            raise ValueError("every k must satisfy 2 <= k <= n")
+        _check_ks(self.ks, self.n)
         if self.bootstrap < 0:
             raise ValueError("bootstrap resample count must be >= 0")
         if self.gate_draws < 1:
@@ -124,6 +119,16 @@ def _check_draw(q0: float, method: str, workers: int) -> None:
         raise ValueError(f"unknown sampler {method!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+
+
+def _check_ks(ks: tuple[int, ...], n: int) -> None:
+    """The W coordinates a RunConfig and `sample --stats` accept."""
+    if not ks:
+        raise ValueError("ks must be nonempty")
+    if len(set(ks)) < len(ks):
+        raise ValueError(f"ks must be distinct, got ks = {ks}")
+    if any(k < 2 or k > n for k in ks):
+        raise ValueError("every k must satisfy 2 <= k <= n")
 
 
 def _chunk_task(args):

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache
 from typing import Iterable, Iterator
 
@@ -186,15 +185,6 @@ def set_partitions_of(r: int) -> Iterator[SetPartition]:
 # ---------------------------------------------------------------------------
 # border strips, via first-column hook coordinates (beta numbers)
 
-@dataclass(frozen=True)
-class BorderStrip:
-    """A removable connected ribbon of lam with no 2x2 square: its height
-    (rows spanned less one) and the shape left once it is removed."""
-
-    height: int
-    shape_after: Partition
-
-
 def beta_numbers(lam: Partition) -> list[int]:
     """Beta numbers lam_i + len(lam) - 1 - i (0-based i): the hook
     lengths of the first column, strictly decreasing."""
@@ -209,8 +199,10 @@ def _from_beta(beta: list[int]) -> Partition:
     return tuple(p for p in parts if p > 0)
 
 
-def border_strips_of(lam: Partition, k: int) -> tuple[BorderStrip, ...]:
-    """All size-k border strips removable from lam, with heights.
+def border_strips_of(lam: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+    """All size-k border strips removable from lam, as (height, shape
+    after) pairs.  A border strip is a connected ribbon with no 2x2
+    square; its height is the number of rows it spans less one.
 
     In beta-number form a strip of size k is a move beta_i -> beta_i - k
     landing on an unoccupied nonnegative value; the height is the number
@@ -227,5 +219,5 @@ def border_strips_of(lam: Partition, k: int) -> tuple[BorderStrip, ...]:
             continue
         height = sum(1 for c in beta if target < c < b)
         new_beta = beta[:i] + [target] + beta[i + 1 :]
-        out.append(BorderStrip(height=height, shape_after=_from_beta(new_beta)))
+        out.append((height, _from_beta(new_beta)))
     return tuple(out)

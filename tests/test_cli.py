@@ -434,6 +434,56 @@ def test_config_bools_are_words_in_any_case(tmp_path, monkeypatch, capsys):
     assert "--skip-gate" in err and "'ture'" in err
 
 
+# one bad value per converter that can refuse, with the rest of a valid call
+BAD_VALUES = {
+    "int": (["cov", "--k", "2", "--q", "1/2"], "l", "x",
+            "invalid literal for int() with base 10: 'x'"),
+    "fraction": (["cov", "--k", "2", "--l", "2"], "q", "1/0", "Fraction(1, 0)"),
+    "partition": (["qchar", "--mu", "2"], "lambda", "3,a", "cannot parse partition: '3,a'"),
+    "cycle-lengths": (["idcum"], "ks", "2,x", "invalid literal for int() with base 10: 'x'"),
+    "fractions": (["mobius", "--n", "3"], "poly", "1,x", "Invalid literal for Fraction: 'x'"),
+    "on-off": (["clt", "--n", "10", "--q", "1/2"], "skip-gate", "ture",
+               "takes 1/true/yes/on or 0/false/no/off, not 'ture'"),
+}
+
+
+# an on/off option is a flag on the command line, so its words come only
+# from a config file
+@pytest.mark.parametrize(
+    "case, where",
+    [(case, "command-line") for case in BAD_VALUES if case != "on-off"]
+    + [(case, "config") for case in BAD_VALUES],
+)
+def test_a_refused_value_names_its_option(case, where, tmp_path, capsys):
+    argv, name, value, message = BAD_VALUES[case]
+    if where == "command-line":
+        argv = argv + [f"--{name}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{name} = {value}\n")
+        argv = argv + ["--config", str(cfg)]
+    code, out, err = run_cli(argv, capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --{name}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "ks, message",
+    [
+        (",", "ks must be nonempty"),
+        ("2,2", "ks must be distinct, got ks = (2, 2)"),
+        ("7", "every k must satisfy 2 <= k <= n"),
+    ],
+)
+def test_sample_stats_refuses_what_clt_ks_refuses(ks, message, capsys):
+    sample = ["sample", "--n", "5", "--q", "1/2", "--count", "3", "--stats", ks]
+    clt = ["clt", "--n", "5", "--q", "1/2", "--count", "100", "--ks", ks]
+    for argv in (sample, clt):
+        code, out, err = run_cli(argv, capsys)
+        assert_one_error_line(code, out, err)
+        assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize(
     "fmt, message",
     [

@@ -6,6 +6,7 @@ behaviour change and pin the new digests.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -35,6 +36,26 @@ def cli_digest(args, capsys) -> str:
 )
 def test_clt_report_bytes(workers, digest, capsys):
     assert cli_digest(CLT_ARGS + ["--workers", str(workers)], capsys) == digest
+
+
+def test_desk_report_bytes(capsys):
+    # the desk-scale run the README quotes: n = 1000, N = 20,000, rsk
+    args = [
+        "clt", "--n", "1000", "--q", "0.5", "--count", "20000", "--seed", "42",
+        "--workers", "2", "--format", "json",
+    ]
+    digest = "35b6761bf827667f39260f4e162864bfaeb258c646685a9a0fe42f7b399af0a5"
+    assert cli_digest(args, capsys) == digest
+
+
+def test_selftest_json_bytes_without_durations(capsys):
+    assert cli.main(["selftest", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    for check in payload["checks"]:
+        check["seconds"] = 0
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    digest = "06f5bf84a0043df749115834d9424486d9c22a81a8c28f9183b64ddcdb922f06"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_sample_text_bytes(capsys):
