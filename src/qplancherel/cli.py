@@ -87,7 +87,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cycle_lengths(s: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in s.replace(" ", "").split(",") if t)
+    return tuple(int(t) for t in s.split(","))
 
 
 def _fractions(s: str) -> list[Fraction]:

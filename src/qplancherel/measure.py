@@ -19,8 +19,10 @@ operations on one sorted table of keys ((row, word) << B) | position,
 B = n.bit_length(), held in int32 whenever they fit.  Row r of a word
 gets min(n // (r + 1), N_r) slots, N_r its letters of rank >= r among
 its distinct letters.  The growth sampler advances all chains of a
-chunk together, one box per step, with a few numpy passes per block of
-equal parts; its draws are those of one chain at a time, since every
+chunk together, one box per step.  Each step forms the cover factors of
+a run of blocks of equal parts in a few numpy passes, and for n <= 14,
+where every shape is one int64 key, weighs each distinct shape of the
+chunk once.  Its draws are those of one chain at a time, since every
 weight, running sum and comparison is the same IEEE operation on the
 same floats in the same order.
 Each sampler draws a single chunk of shapes from that chunk's own
@@ -76,6 +78,16 @@ SAMPLE_CHUNK = 1024  # worker-count invariance: streams are chunk-indexed
 # 1.41 s at q = 0.99.  A larger table costs each search more levels; a
 # smaller one pays each step's fixed numpy cost over more sub-batches.
 RSK_TABLE_SLOTS = 1 << 18
+# Entries of one (B, m, C) array of growth cover factors: B blocks of
+# equal parts, m shapes, C covers.  B is the most blocks that fit, or one
+# (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  Medians
+# of three (q = 1/2) or two (q = 0.99) fresh processes (2-vCPU VM), ms per
+# shape at 2^12 / 2^14 / 2^16 entries: 0.33 / 0.30 / 0.26 for 200 shapes
+# at n = 200, q = 1/2; 1.75 / 1.65 / 2.37 at q = 1/2 and 8.3 / 8.0 / 9.1
+# at q = 0.99 for a 1024-shape chunk at n = 1000.  Larger arrays fall out
+# of the cache; smaller ones pay each call's fixed numpy cost over more
+# runs of blocks.
+GROWTH_FACTOR_SLOTS = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +375,14 @@ def _rsk_shapes(letters: np.ndarray) -> list[Partition]:
         t += 1
 
     lengths = np.searchsorted(table, free) - (np.cumsum(caps) - caps)
-    lengths = lengths.reshape(runs, b).T
+    return _partitions(lengths.reshape(runs, b).T)
+
+
+def _partitions(lengths: np.ndarray) -> list[Partition]:
+    """The partitions whose zero-padded row lengths are the rows of
+    `lengths`."""
     rows = np.count_nonzero(lengths, axis=1)
-    lengths = lengths[:, : int(rows.max())].tolist()
+    lengths = lengths[:, : int(rows.max(initial=0))].tolist()
     return [tuple(row[:k]) for row, k in zip(lengths, rows.tolist())]
 
 
@@ -454,10 +471,13 @@ def _growth_weights(
     and in its column above it.  Across a block u of equal rows or equal
     columns they are consecutive, so the block telescopes to one factor
     (1 - q^h_min) / (1 - q^(h_max + 1)): a column factor when u < t, a
-    row factor when t <= u, for the cover t.  Each weight multiplies its
-    factors in order of u, as one column block per u across the batch,
-    so every weight is the product of the same floats in the same order
-    as in the shape-by-shape loop.
+    row factor when t <= u, for the cover t.  The factors of a run of
+    consecutive blocks are formed as one (B, m, C) array, by one gather
+    and one divide each for the numerators and the denominators, and
+    each weight is multiplied by its factor of block u in order of u, so
+    every weight is the product of the same floats in the same order as
+    in the shape-by-shape loop.  B keeps that array within
+    GROWTH_FACTOR_SLOTS entries, or at one block.
     """
     m, width = rows.shape
     is_top = np.empty((m, width), dtype=bool)
@@ -476,23 +496,40 @@ def _growth_weights(
     parts = lead + tops
     w = np.where(np.arange(c) < count[:, None], powers[tops], 0.0)
     drops = 1.0 - powers
-    # Block u is live in a chain with more than u + 1 covers.  Elsewhere
-    # the exponents below are kept in 1 .. lam_1 + depth + 1 <= size + 3,
-    # never at drops[0] = 0 nor negative (numpy would wrap them): a dead
-    # row factor is drops[x] / drops[x] = 1 exactly, and a padded weight
+    lead = lead[None]  # (1, m, C) against a run of blocks' (B, m, 1)
+    # tops and parts as (C, m, 1) columns, so that the (B, m, C) factors
+    # hold each block's (m, C) rows in one contiguous piece
+    tops_t, parts_t = tops.T[:, :, None], parts.T[:, :, None]
+    live = np.arange(1, c)[:, None, None] < count[:, None]  # block u, chain
+    # Block u is live in a chain with more than u + 1 covers.  In a dead
+    # block both exponents below are lead_t + depth + 1, so its factor is
+    # drops[x] / drops[x] = 1 exactly.  Every exponent, a padded cover's
+    # too, lies in 1 .. lam_1 + depth + 1 <= size + 3, never at
+    # drops[0] = 0 nor negative (numpy would wrap it), and a padded weight
     # stays 0.
-    for u in range(c - 1):
-        i, i1 = tops[:, u, None], tops[:, u + 1, None]
-        a, a1 = parts[:, u, None], parts[:, u + 1, None]
-        live = count[:, None] > u + 1
-        head = lead[:, : u + 1]  # covers t <= u: row i_t, columns a_(u+1) .. a_u - 1
-        x = head + np.where(live, i1 - a, depth + 1)
-        y = head + np.where(live, i1 - a1, depth + 1)
-        w[:, : u + 1] *= drops[x] / drops[y]
-        tail = lead[:, u + 1 :]  # covers t > u: column a_t, rows i_u .. i_(u+1) - 1
-        x = np.where(live, a - i1, 0) - tail
-        y = np.where(live, a - i, 0) - tail
-        w[:, u + 1 :] *= drops[x] / drops[y]
+    dead = depth[None] + 1
+    step = max(1, GROWTH_FACTOR_SLOTS // (m * c))
+    for start in range(0, c - 1, step):
+        stop = min(start + step, c - 1)
+        i, i1 = tops_t[start:stop], tops_t[start + 1 : stop + 1]
+        a, a1 = parts_t[start:stop], parts_t[start + 1 : stop + 1]
+        on = live[start:stop]
+        # |lead_t + i_(u+1) - a_u|: the row exponent of a cover t <= u
+        # (row i_t, columns a_(u+1) .. a_u - 1), the column exponent
+        # a_u - i_(u+1) - lead_t of a cover t > u (column a_t, rows i_u ..
+        # i_(u+1) - 1); each is positive on its side
+        x = lead + np.where(on, i1 - a, dead)
+        np.abs(x, out=x)
+        # lead_t + i_(u+1) - a_(u+1) for t <= u, a_u - i_u - lead_t for t > u
+        row_factor = (np.arange(start, stop)[:, None] >= np.arange(c))[:, None]
+        y = lead + np.where(
+            row_factor, np.where(on, i1 - a1, dead), np.where(on, i - a, dead)
+        )
+        np.abs(y, out=y)
+        factors = np.take(drops, x)
+        factors /= np.take(drops, y)
+        for f in factors:
+            w *= f
     return tops, count, w
 
 
@@ -517,6 +554,27 @@ def _check_coherency(rows: np.ndarray, w: np.ndarray, sums: np.ndarray, q0: floa
             )
 
 
+def _growth_step(
+    rows: np.ndarray, powers: np.ndarray, q0: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The covers of a batch of shapes, their counts and the running sums
+    of their weights, each shape's weights checked to sum to 1."""
+    tops, count, w = _growth_weights(rows, powers)
+    cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
+    _check_coherency(rows, w, cum[:, -1], q0)
+    return tops, count, cum
+
+
+def _distinct_rows(rows: np.ndarray, radix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in order of first occurrence,
+    and the index of each row among them.  A row is read as the digits
+    of one int64 key in the base of `radix`, its powers."""
+    keys = rows @ radix[: rows.shape[1]]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return rows[first[order]], np.argsort(order)[inverse]
+
+
 def sample_growth_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
@@ -528,6 +586,12 @@ def sample_growth_chunk(
     uniform are computed by the same IEEE operations in the same order as
     one chain at a time, so the drawn shapes are the same.  Every step
     checks that each chain's weights sum to 1 within 1e-12.
+
+    For n <= 14 every shape's rows are the digits of one int64 key in
+    base n + 1, and the chains share at most p(n - 1) shapes a step: the
+    weights, running sums and check are made once per distinct shape, in
+    order of first occurrence, so a failed check names the first failing
+    chain's shape, and each distinct shape's tuple is built once.
     """
     if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
         dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
@@ -537,20 +601,27 @@ def sample_growth_chunk(
     # shapes of at most n - 1 boxes read powers up to q ** (n + 2)
     powers = np.array([q0**k for k in range(n + 3)])
     rows = np.zeros((m, n + 1), dtype=np.intp)
+    # n + 1 digits in base n + 1 fit an int64 key while n <= 14
+    radix = (n + 1) ** np.arange(n + 1) if (n + 1) ** (n + 1) < 2**63 else None
     chains = np.arange(m)
     width = 1  # the longest shape's rows, then one all-zero column
     for u in us.T:
-        tops, count, w = _growth_weights(rows[:, :width], powers)
-        cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
-        _check_coherency(rows[:, :width], w, cum[:, -1], q0)
+        if radix is None:
+            tops, count, cum = _growth_step(rows[:, :width], powers, q0)
+        else:
+            distinct, back = _distinct_rows(rows[:, :width], radix)
+            tops, count, cum = (x[back] for x in _growth_step(distinct, powers, q0))
         # bisect_right: covers whose running sum is <= u, clamped to the last
         pick = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), count - 1)
         grown = tops[chains, pick]
         rows[chains, grown] += 1
         width = max(width, int(grown.max()) + 2)
     lengths = rows[:, : width - 1]
-    sizes = np.count_nonzero(lengths, axis=1).tolist()
-    return [tuple(row[:k]) for row, k in zip(lengths.tolist(), sizes)]
+    if radix is None:
+        return _partitions(lengths)
+    distinct, back = _distinct_rows(lengths, radix)
+    shapes = _partitions(distinct)
+    return [shapes[j] for j in back.tolist()]
 
 
 SAMPLER_CHUNK_FNS = {

@@ -470,7 +470,6 @@ def test_a_refused_value_names_its_option(case, where, tmp_path, capsys):
 @pytest.mark.parametrize(
     "ks, message",
     [
-        (",", "ks must be nonempty"),
         ("2,2", "ks must be distinct, got ks = (2, 2)"),
         ("7", "every k must satisfy 2 <= k <= n"),
     ],
@@ -482,6 +481,31 @@ def test_sample_stats_refuses_what_clt_ks_refuses(ks, message, capsys):
         code, out, err = run_cli(argv, capsys)
         assert_one_error_line(code, out, err)
         assert err == f"error: {message}\n"
+
+
+# an empty cycle length is refused where it stands, not dropped, and a
+# space inside a number is not read as one number
+@pytest.mark.parametrize(
+    "ks, token",
+    [("2,,3", ""), ("2,", ""), (",3", ""), (",", ""), ("", ""), ("2 3", "2 3")],
+)
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["idcum"], "ks"),
+        (["clt", "--n", "5", "--q", "1/2", "--count", "100"], "ks"),
+        (["sample", "--n", "5", "--q", "1/2", "--count", "3"], "stats"),
+    ],
+    ids=["idcum", "clt", "sample"],
+)
+def test_a_malformed_cycle_length_names_its_option(argv, name, ks, token, capsys):
+    code, out, err = run_cli(argv + [f"--{name}", ks], capsys)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: --{name}: invalid literal for int() with base 10: {token!r}\n"
+
+
+def test_spaces_around_a_cycle_length_are_read(capsys):
+    assert run_cli(["idcum", "--ks", " 2, 3 "], capsys) == run_cli(["idcum", "--ks", "2,3"], capsys)
 
 
 @pytest.mark.parametrize(

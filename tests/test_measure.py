@@ -475,33 +475,52 @@ class TestGrowthSampler:
                     assert abs(p - float(exact[big].eval_at(Fraction(q0)))) <= 1e-13
 
     @pytest.mark.parametrize("m", [1, 7, 300])
-    @pytest.mark.parametrize("n", [0, 1, 2, 6, 50, 200])
+    # n <= 14 weighs each distinct shape once, through its int64 key
+    @pytest.mark.parametrize("n", [0, 1, 2, 6, 13, 14, 15, 50, 200])
     @pytest.mark.parametrize("q0", [0.05, 0.3, 0.5, 0.9, 0.99, 1.01, 2.0, 20.0])
     def test_chunk_equals_step_oracle(self, q0, n, m):
         # the batched chains against one chain at a time, on the same uniforms
+        assert sample_growth_chunk(n, q0, 4, 0, m) == self.step_oracle(n, q0, m)
+
+    @staticmethod
+    def step_oracle(n, q0, m):
         us = chunk_generator(4, 0, 0).random((m, n))
         step_q = q0 if q0 < 1 else 1 / q0
         expected = [growth_shape_by_steps(row, step_q) for row in us.tolist()]
         if q0 > 1:
             expected = [conjugate(lam) for lam in expected]
-        assert sample_growth_chunk(n, q0, 4, 0, m) == expected
+        return expected
+
+    @pytest.mark.parametrize("q0", [0.5, 0.99, 2.0])
+    def test_gate_chunk_equals_step_oracle(self, q0):
+        # the gate's chunk: 1024 chains share at most 11 shapes a step
+        assert sample_growth_chunk(6, q0, 4, 0, 1024) == self.step_oracle(6, q0, 1024)
 
     @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95])
-    def test_batched_weights_are_the_step_weights_bitwise(self, q0):
-        # every shape of at most 10 boxes in one batch: the same floats,
-        # not only the same draws
+    def test_batched_weights_are_the_step_weights_bitwise(self, q0, monkeypatch):
+        # every shape of at most 10 boxes and the staircases of up to 20
+        # parts (21 covers) in one batch, so that the small shapes' blocks
+        # are dead or padded in most of the runs of blocks: the same
+        # floats, not only the same draws
         shapes = [lam for n in range(11) for lam in partitions_of(n)]
-        rows = np.zeros((len(shapes), 11), dtype=np.intp)
+        shapes += [tuple(range(k, 0, -1)) for k in range(1, 21)]
+        rows = np.zeros((len(shapes), 21), dtype=np.intp)
         for s, lam in enumerate(shapes):
             rows[s, : len(lam)] = lam
-        powers = np.array([q0**k for k in range(10 + 4)])  # up to size + 3
-        tops, count, w = measure._growth_weights(rows, powers)
-        for s, lam in enumerate(shapes):
-            k = count[s]
-            assert w[s, :k].tolist() == list(transition_weights(lam, q0)), lam
-            assert not w[s, k:].any(), lam
-            added = [added_row(lam, big) - 1 for big in covers_of(lam)]
-            assert tops[s, :k].tolist() == added, lam
+        powers = np.array([q0**k for k in range(210 + 4)])  # up to size + 3
+        # blocks per (B, m, C) factor array: one, a few, and the default
+        for step in (1, 3, 7, None):
+            if step is not None:
+                monkeypatch.setattr(measure, "GROWTH_FACTOR_SLOTS", step * len(shapes) * 21)
+            tops, count, w = measure._growth_weights(rows, powers)
+            assert w.shape[1] == 21
+            for s, lam in enumerate(shapes):
+                k = count[s]
+                assert w[s, :k].tolist() == list(transition_weights(lam, q0)), lam
+                assert not w[s, k:].any(), lam
+                added = [added_row(lam, big) - 1 for big in covers_of(lam)]
+                assert tops[s, :k].tolist() == added, lam
+            monkeypatch.undo()
 
     def test_coherency_violation_aborts(self, monkeypatch):
         weights = measure._growth_weights
@@ -513,6 +532,30 @@ class TestGrowthSampler:
         monkeypatch.setattr(measure, "_growth_weights", inflated)
         with pytest.raises(GrowthCoherencyError, match="sum to"):
             sample_growth_chunk(5, 0.5, 1, 0, 7)
+
+    # n = 5 weighs each distinct shape once, n = 16 every chain
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("inflate", ["one shape", "every shape of 3 boxes"])
+    def test_coherency_error_names_the_first_failing_chain(self, inflate, n, monkeypatch):
+        m, q0 = 64, 0.5
+        us = chunk_generator(1, 0, 0).random((m, n))
+        at_three = [growth_shape_by_steps(row[:3], q0) for row in us.tolist()]
+        bad = {(2, 1)} if inflate == "one shape" else set(partitions_of(3))
+        # (3,) has the smallest key of the three, but chain 0 grows (2, 1)
+        assert at_three[0] == (2, 1) and (3,) in at_three
+        weights = measure._growth_weights
+
+        def inflated(rows, powers):
+            tops, count, w = weights(rows, powers)
+            for s, row in enumerate(rows.tolist()):
+                if tuple(x for x in row if x) in bad:
+                    w[s] *= 1.1
+            return tops, count, w
+
+        monkeypatch.setattr(measure, "_growth_weights", inflated)
+        with pytest.raises(GrowthCoherencyError) as err:
+            sample_growth_chunk(n, q0, 1, 0, m)
+        assert str(err.value).startswith("transition probabilities out of (2, 1) at q = 0.5 ")
 
     def test_coherency_screen_defers_to_fsum(self):
         # rows whose left-to-right sum and fsum fall on either side of the

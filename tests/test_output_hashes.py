@@ -97,7 +97,10 @@ def test_cov_and_mobius_bytes(capsys):
     assert sweep_digest(COV_CALLS + MOBIUS_CALLS, capsys) == digest
 
 
-# every ks with sum(ks) <= 8, in decreasing order, and four refusals
+# every ks with sum(ks) <= 8, in decreasing order, and four refusals; the
+# digest was re-recorded when `,` became a refused empty cycle length
+# (`error: --ks: invalid literal ...`) in place of an empty list that
+# identity_cumulant refused, the only calls whose bytes changed
 IDCUM_CALLS = [
     ["idcum", "--ks", ks, "--format", fmt]
     for ks in [
@@ -108,5 +111,5 @@ IDCUM_CALLS = [
 
 
 def test_identity_cumulant_bytes(capsys):
-    digest = "28bbda4e4ac17251670a19e91e8305f54a2f39b9027ac1faa1de05afd4496684"
+    digest = "99bb832015e41a4e84569575517e49204fe21769eb6134fbbb39df707eede19b"
     assert sweep_digest(IDCUM_CALLS, capsys) == digest
