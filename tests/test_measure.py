@@ -493,7 +493,7 @@ class TestGrowthSampler:
 
     @pytest.mark.parametrize("q0", [0.5, 0.99, 2.0])
     def test_gate_chunk_equals_step_oracle(self, q0):
-        # the gate's chunk: 1024 chains share at most 11 shapes a step
+        # the gate's chunk: 1024 chains share at most p(5) = 7 shapes a step
         assert sample_growth_chunk(6, q0, 4, 0, 1024) == self.step_oracle(6, q0, 1024)
 
     @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95])

@@ -97,10 +97,8 @@ def test_cov_and_mobius_bytes(capsys):
     assert sweep_digest(COV_CALLS + MOBIUS_CALLS, capsys) == digest
 
 
-# every ks with sum(ks) <= 8, in decreasing order, and four refusals; the
-# digest was re-recorded when `,` became a refused empty cycle length
-# (`error: --ks: invalid literal ...`) in place of an empty list that
-# identity_cumulant refused, the only calls whose bytes changed
+# every ks with sum(ks) <= 8, in decreasing order, and four refusals (`,`
+# holds two empty cycle lengths)
 IDCUM_CALLS = [
     ["idcum", "--ks", ks, "--format", fmt]
     for ks in [
