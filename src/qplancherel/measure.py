@@ -19,20 +19,24 @@ operations on one sorted table of keys ((row, word) << B) | position,
 B = n.bit_length(), held in int32 whenever they fit.  Row r of a word
 gets min(n // (r + 1), N_r) slots, N_r its letters of rank >= r among
 its distinct letters.  The growth sampler advances all chains of a
-chunk together, one box per step.  Each step forms the cover factors of
-a run of blocks of equal parts in a few numpy passes, and for n <= 14,
-where every shape is one int64 key, weighs each distinct shape of the
-chunk once.  Its draws are those of one chain at a time, since every
-weight, running sum and comparison is the same IEEE operation on the
-same floats in the same order.
+chunk together, one box per step, and forms the cover factors of a run
+of blocks of equal parts in a few numpy passes.  For n <= 14 it weighs
+every shape of fewer than n boxes once per (n, q), into one cached
+transition table, and each chain walks the table as an index: a step
+gathers the chains' running sums, bisects its uniforms in them and moves
+each chain to its cover's index.  Larger n weighs every chain's shape
+afresh at each step.  Its draws are those of one chain at a time, since
+every weight, running sum and comparison is the same IEEE operation on
+the same floats in the same order.
 Each sampler draws a single chunk of shapes from that chunk's own
 generator stream; `montecarlo.sample_partitions` is the one driver that
 fans the chunks out and merges them.  RSK and growth draw at q < 1 only,
 and reach q > 1 through the exact duality M_q(lambda) = M_{1/q}(lambda').
 The latter two are imported descriptions, so they are validated against
 the exact table by the chi-square gates in the Monte Carlo layer, and
-the growth process asserts its own transition-sum coherency at every
-step.  Numeric q is validated once, by `check_q`, where it enters.
+the growth process fails on any shape a chain stands on whose
+transition probabilities do not sum to 1.  Numeric q is validated once,
+by `check_q`, where it enters.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,6 +93,10 @@ RSK_TABLE_SLOTS = 1 << 18
 # of the cache; smaller ones pay each call's fixed numpy cost over more
 # runs of blocks.
 GROWTH_FACTOR_SLOTS = 1 << 14
+# Largest n whose growth chunks walk one cached transition table per
+# (n, q) (`_growth_table`): the table weighs every shape of fewer than n
+# boxes, 373 at n = 14, fewer than the 1024 chains of a chunk.
+GROWTH_TABLE_MAX_N = 14
 
 
 # ---------------------------------------------------------------------------
@@ -533,46 +542,100 @@ def _growth_weights(
     return tops, count, w
 
 
-def _check_coherency(rows: np.ndarray, w: np.ndarray, sums: np.ndarray, q0: float) -> None:
-    """Raise GrowthCoherencyError for the first chain whose weights do
-    not sum to 1 within 1e-12 under math.fsum.
+def _incoherent(w: np.ndarray, sums: np.ndarray) -> dict[int, float]:
+    """The rows of w whose weights do not sum to 1 within 1e-12 under
+    math.fsum, in order, each with its fsum total.
 
     `sums` are the left-to-right float sums of the C columns of w.  Where
     |sums - 1| <= 1e-12 - C 2^-52 the exact total S is below 2, so the
     sum lies within (C - 1) 2^-53 S (1 + O(C 2^-53)) < (2C - 1) 2^-53 of S
-    and the fsum within 2^-53 of it: fsum passes too.  Only the chains
+    and the fsum within 2^-53 of it: fsum passes too.  Only the rows
     outside that screen are summed again with fsum, which decides.
     """
     margin = w.shape[1] * 2.0**-52
-    for s in np.flatnonzero(np.abs(sums - 1.0) > 1e-12 - margin).tolist():
-        total = math.fsum(w[s].tolist())
-        if abs(total - 1.0) > 1e-12:
-            lam = tuple(x for x in rows[s].tolist() if x)
-            raise GrowthCoherencyError(
-                f"transition probabilities out of {lam} at q = {q0} "
-                f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
-            )
+    screened = np.flatnonzero(np.abs(sums - 1.0) > 1e-12 - margin).tolist()
+    totals = {s: math.fsum(w[s].tolist()) for s in screened}
+    return {s: total for s, total in totals.items() if abs(total - 1.0) > 1e-12}
 
 
-def _growth_step(
-    rows: np.ndarray, powers: np.ndarray, q0: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The covers of a batch of shapes, their counts and the running sums
-    of their weights, each shape's weights checked to sum to 1."""
-    tops, count, w = _growth_weights(rows, powers)
+def _coherency_error(lam: Partition, total: float, q0: float) -> GrowthCoherencyError:
+    return GrowthCoherencyError(
+        f"transition probabilities out of {lam} at q = {q0} "
+        f"sum to {total!r} (|delta| = {abs(total - 1.0):.3e} > 1e-12)"
+    )
+
+
+def _check_coherency(rows: np.ndarray, w: np.ndarray, sums: np.ndarray, q0: float) -> None:
+    """Raise GrowthCoherencyError for the first shape, one per row of
+    `rows`, whose weights `_incoherent` finds not to sum to 1."""
+    for s, total in _incoherent(w, sums).items():
+        raise _coherency_error(tuple(x for x in rows[s].tolist() if x), total, q0)
+
+
+def _cover_index(cum: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """bisect_right of each uniform of u in its column of the (C, m)
+    running sums: the number of covers whose running sum is <= u, clamped
+    to the last."""
+    pick = (cum <= u).sum(axis=0)
+    return np.minimum(pick, last, out=pick)
+
+
+class _GrowthTable(NamedTuple):
+    """The growth transitions at (n, q0) out of every shape of fewer than
+    n boxes, the first K of `shapes`."""
+
+    shapes: tuple[Partition, ...]  # by size, then in partitions_of order
+    cum: np.ndarray  # (C, K) running sums of the weights, one column a shape
+    last: np.ndarray  # (K,) index of the last cover
+    succ: np.ndarray  # (K, C) index in `shapes` of each cover
+    incoherent: dict[int, float]  # shapes failing the check, their fsum totals
+
+
+def _growth_powers(n: int, q0: float) -> np.ndarray:
+    """q0 ** k for k <= n + 2: the weights of shapes of fewer than n boxes
+    read no higher power."""
+    return np.array([q0**k for k in range(n + 3)])
+
+
+@cache
+def _growth_table(n: int, q0: float) -> _GrowthTable:
+    """One `_growth_weights` batch of every shape of fewer than n boxes,
+    0 < n, with the running sums of its weights and the index of each
+    cover."""
+    small = [lam for k in range(n) for lam in partitions_of(k)]
+    shapes = (*small, *partitions_of(n))
+    index = {lam: s for s, lam in enumerate(shapes)}
+    rows = np.zeros((len(small), n), dtype=np.intp)  # at most n - 1 rows
+    for s, lam in enumerate(small):
+        rows[s, : len(lam)] = lam
+    tops, count, w = _growth_weights(rows, _growth_powers(n, q0))
     cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
-    _check_coherency(rows, w, cum[:, -1], q0)
-    return tops, count, cum
+    succ = np.zeros_like(tops)
+    for s, lam in enumerate(small):
+        succ[s, : count[s]] = [index[big] for big in covers_of(lam)]
+    table = _GrowthTable(
+        shapes, np.ascontiguousarray(cum.T), count - 1, succ, _incoherent(w, cum[:, -1])
+    )
+    for a in table[1:4]:  # every chunk at (n, q0) reads the same arrays
+        a.flags.writeable = False
+    return table
 
 
-def _distinct_rows(rows: np.ndarray, radix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an integer array in order of first occurrence,
-    and the index of each row among them.  A row is read as the digits
-    of one int64 key in the base of `radix`, its powers."""
-    keys = rows @ radix[: rows.shape[1]]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    return rows[first[order]], np.argsort(order)[inverse]
+def _walk_growth_table(us: np.ndarray, q0: float) -> list[Partition]:
+    """The chains of a chunk as states of `_growth_table`, one step per
+    column of the (m, n) uniforms `us`; the step fails on the first chain
+    that stands on an incoherent shape."""
+    table = _growth_table(us.shape[1], q0)
+    bad = np.zeros(len(table.shapes), dtype=bool)
+    bad[list(table.incoherent)] = True
+    state = np.zeros(len(us), dtype=np.intp)
+    for u in us.T:
+        if table.incoherent and (hit := np.flatnonzero(bad[state])).size:
+            s = int(state[hit[0]])
+            raise _coherency_error(table.shapes[s], table.incoherent[s], q0)
+        pick = _cover_index(np.take(table.cum, state, axis=1), u, table.last[state])
+        state = table.succ[state, pick]
+    return [table.shapes[s] for s in state.tolist()]
 
 
 def sample_growth_chunk(
@@ -584,44 +647,37 @@ def sample_growth_chunk(
     chunk's (m, n) uniforms: each chain's cover weights
     (`_growth_weights`), their running sums and the bisect of the step's
     uniform are computed by the same IEEE operations in the same order as
-    one chain at a time, so the drawn shapes are the same.  Every step
-    checks that each chain's weights sum to 1 within 1e-12.
+    one chain at a time, so the drawn shapes are the same.  A chain that
+    stands on a shape whose weights do not sum to 1 within 1e-12 fails
+    the draw, which names the first such chain's shape.
 
-    For n <= 14 every shape's rows are the digits of one int64 key in
-    base n + 1, and the chains share at most p(n - 1) shapes a step: the
-    weights, running sums and check are made once per distinct shape, in
-    order of first occurrence, so a failed check names the first failing
-    chain's shape, and each distinct shape's tuple is built once.
+    For 0 < n <= GROWTH_TABLE_MAX_N the weights and running sums of every
+    shape of fewer than n boxes are one cached table per (n, q0)
+    (`_growth_table`), and each chain is an index into it: a step looks
+    up the chains' running sums and their covers' indices, and each
+    shape's tuple is built once per table.  Larger n weighs the chains'
+    shapes afresh at each step.
     """
     if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
         dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
-        return [conjugate(lam) for lam in dual]
+        conjugates = {lam: conjugate(lam) for lam in set(dual)}  # once a shape
+        return [conjugates[lam] for lam in dual]
     rng = chunk_generator(seed, 0, chunk_index)
     us = rng.random((m, n))
-    # shapes of at most n - 1 boxes read powers up to q ** (n + 2)
-    powers = np.array([q0**k for k in range(n + 3)])
+    if 0 < n <= GROWTH_TABLE_MAX_N:
+        return _walk_growth_table(us, q0)
+    powers = _growth_powers(n, q0)
     rows = np.zeros((m, n + 1), dtype=np.intp)
-    # n + 1 digits in base n + 1 fit an int64 key while n <= 14
-    radix = (n + 1) ** np.arange(n + 1) if (n + 1) ** (n + 1) < 2**63 else None
     chains = np.arange(m)
     width = 1  # the longest shape's rows, then one all-zero column
     for u in us.T:
-        if radix is None:
-            tops, count, cum = _growth_step(rows[:, :width], powers, q0)
-        else:
-            distinct, back = _distinct_rows(rows[:, :width], radix)
-            tops, count, cum = (x[back] for x in _growth_step(distinct, powers, q0))
-        # bisect_right: covers whose running sum is <= u, clamped to the last
-        pick = np.minimum(np.count_nonzero(cum <= u[:, None], axis=1), count - 1)
-        grown = tops[chains, pick]
+        tops, count, w = _growth_weights(rows[:, :width], powers)
+        cum = np.cumsum(w, axis=1)
+        _check_coherency(rows, w, cum[:, -1], q0)
+        grown = tops[chains, _cover_index(cum.T, u, count - 1)]
         rows[chains, grown] += 1
         width = max(width, int(grown.max()) + 2)
-    lengths = rows[:, : width - 1]
-    if radix is None:
-        return _partitions(lengths)
-    distinct, back = _distinct_rows(lengths, radix)
-    shapes = _partitions(distinct)
-    return [shapes[j] for j in back.tolist()]
+    return _partitions(rows[:, : width - 1])
 
 
 SAMPLER_CHUNK_FNS = {

@@ -3,6 +3,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -475,7 +476,7 @@ class TestGrowthSampler:
                     assert abs(p - float(exact[big].eval_at(Fraction(q0)))) <= 1e-13
 
     @pytest.mark.parametrize("m", [1, 7, 300])
-    # n <= 14 weighs each distinct shape once, through its int64 key
+    # n <= 14 walks the cached growth table, larger n weighs every step
     @pytest.mark.parametrize("n", [0, 1, 2, 6, 13, 14, 15, 50, 200])
     @pytest.mark.parametrize("q0", [0.05, 0.3, 0.5, 0.9, 0.99, 1.01, 2.0, 20.0])
     def test_chunk_equals_step_oracle(self, q0, n, m):
@@ -493,7 +494,7 @@ class TestGrowthSampler:
 
     @pytest.mark.parametrize("q0", [0.5, 0.99, 2.0])
     def test_gate_chunk_equals_step_oracle(self, q0):
-        # the gate's chunk: 1024 chains share at most p(5) = 7 shapes a step
+        # the gate's chunk: 1024 chains walk the 19 shapes of fewer than 6 boxes
         assert sample_growth_chunk(6, q0, 4, 0, 1024) == self.step_oracle(6, q0, 1024)
 
     @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95])
@@ -522,27 +523,32 @@ class TestGrowthSampler:
                 assert tops[s, :k].tolist() == added, lam
             monkeypatch.undo()
 
-    def test_coherency_violation_aborts(self, monkeypatch):
-        weights = measure._growth_weights
+    @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95, 2.0])
+    def test_growth_table_is_the_step_route_bitwise(self, q0):
+        # the running sums each table walk bisects and the covers it moves
+        # to, against one shape at a time: the same floats, not only the
+        # same draws
+        for n in range(1, measure.GROWTH_TABLE_MAX_N + 1):
+            table = measure._growth_table(n, q0)
+            small = [lam for k in range(n) for lam in partitions_of(k)]
+            assert table.shapes == (*small, *partitions_of(n))
+            assert not table.incoherent
+            for s, lam in enumerate(small):
+                k = table.last[s] + 1
+                assert table.cum[:k, s].tolist() == list(accumulate(transition_weights(lam, q0))), lam
+                assert [table.shapes[j] for j in table.succ[s, :k]] == list(covers_of(lam)), lam
 
-        def inflated(rows, powers):
-            tops, count, w = weights(rows, powers)
-            return tops, count, 1.1 * w
+    @pytest.fixture
+    def fresh_growth_tables(self):
+        # a table cached before a test that patches `_growth_weights`
+        # would hide the patch, and one built under the patch outlive it
+        measure._growth_table.cache_clear()
+        yield
+        measure._growth_table.cache_clear()
 
-        monkeypatch.setattr(measure, "_growth_weights", inflated)
-        with pytest.raises(GrowthCoherencyError, match="sum to"):
-            sample_growth_chunk(5, 0.5, 1, 0, 7)
-
-    # n = 5 weighs each distinct shape once, n = 16 every chain
-    @pytest.mark.parametrize("n", [5, 16])
-    @pytest.mark.parametrize("inflate", ["one shape", "every shape of 3 boxes"])
-    def test_coherency_error_names_the_first_failing_chain(self, inflate, n, monkeypatch):
-        m, q0 = 64, 0.5
-        us = chunk_generator(1, 0, 0).random((m, n))
-        at_three = [growth_shape_by_steps(row[:3], q0) for row in us.tolist()]
-        bad = {(2, 1)} if inflate == "one shape" else set(partitions_of(3))
-        # (3,) has the smallest key of the three, but chain 0 grows (2, 1)
-        assert at_three[0] == (2, 1) and (3,) in at_three
+    @staticmethod
+    def inflate_weights(monkeypatch, bad):
+        # the weights of the shapes in `bad` scaled by 1.1, past the check
         weights = measure._growth_weights
 
         def inflated(rows, powers):
@@ -553,6 +559,42 @@ class TestGrowthSampler:
             return tops, count, w
 
         monkeypatch.setattr(measure, "_growth_weights", inflated)
+
+    def test_an_unvisited_incoherent_shape_does_not_fail(self, monkeypatch, fresh_growth_tables):
+        # at q = 0.05 no chain of the gate's chunk reaches (1, 1, 1, 1, 1),
+        # whose weights the table holds and finds incoherent
+        column = (1,) * 5
+        self.inflate_weights(monkeypatch, {column})
+        draws = sample_growth_chunk(6, 0.05, 4, 0, 1024)
+        table = measure._growth_table(6, 0.05)
+        assert [table.shapes[s] for s in table.incoherent] == [column]
+        assert draws == self.step_oracle(6, 0.05, 1024)
+        assert all(len(lam) < 5 for lam in draws)
+
+    def test_coherency_violation_aborts(self, monkeypatch, fresh_growth_tables):
+        weights = measure._growth_weights
+
+        def inflated(rows, powers):
+            tops, count, w = weights(rows, powers)
+            return tops, count, 1.1 * w
+
+        monkeypatch.setattr(measure, "_growth_weights", inflated)
+        with pytest.raises(GrowthCoherencyError, match="sum to"):
+            sample_growth_chunk(5, 0.5, 1, 0, 7)
+
+    # n = 5 walks the growth table, n = 16 weighs every chain each step
+    @pytest.mark.parametrize("n", [5, 16])
+    @pytest.mark.parametrize("inflate", ["one shape", "every shape of 3 boxes"])
+    def test_coherency_error_names_the_first_failing_chain(
+        self, inflate, n, monkeypatch, fresh_growth_tables
+    ):
+        m, q0 = 64, 0.5
+        us = chunk_generator(1, 0, 0).random((m, n))
+        at_three = [growth_shape_by_steps(row[:3], q0) for row in us.tolist()]
+        bad = {(2, 1)} if inflate == "one shape" else set(partitions_of(3))
+        # (3,) has the smallest key of the three, but chain 0 grows (2, 1)
+        assert at_three[0] == (2, 1) and (3,) in at_three
+        self.inflate_weights(monkeypatch, bad)
         with pytest.raises(GrowthCoherencyError) as err:
             sample_growth_chunk(n, q0, 1, 0, m)
         assert str(err.value).startswith("transition probabilities out of (2, 1) at q = 0.5 ")

@@ -13,6 +13,7 @@ from qplancherel.asymptotics import cov_closed_form, w_shape_at
 from qplancherel.measure import SAMPLE_CHUNK, SAMPLER_CHUNK_FNS, sample_exact_chunk
 from qplancherel.montecarlo import (
     Check,
+    GofResult,
     RunConfig,
     SamplerGateError,
     chi_square_gof,
@@ -272,6 +273,31 @@ def test_gate_passes_for_faithful_samplers():
     for method in ("rsk", "growth", "exact"):
         gate = validate_sampler(method, 6, 0.5, 10_000, seed=1)
         assert gate.passed, (method, gate.gof.p_value)
+
+
+# The growth gate's chi-square results at n = 6 and 20000 draws, bit for
+# bit, so that any change of a drawn shape shows.  Seeds 181 and 550 at
+# q = 1/2 are the gate's false alarms on a correct sampler.
+GROWTH_GATE_PINS = {
+    (0.5, 0): GofResult(8.269883645309692, 9, 0.5071940032464788, 10, 20000),
+    (0.5, 1): GofResult(8.35795742071421, 9, 0.498513662266031, 10, 20000),
+    (0.5, 2): GofResult(8.148871500508035, 9, 0.5192160805944139, 10, 20000),
+    (0.99, 0): GofResult(26.942976036222262, 10, 0.002658983792496158, 11, 20000),
+    (0.99, 1): GofResult(10.091953431241887, 10, 0.43246329913837894, 11, 20000),
+    (0.99, 2): GofResult(4.952931928081462, 10, 0.8942999313058259, 11, 20000),
+    (2.0, 0): GofResult(8.269883645309775, 9, 0.5071940032464706, 10, 20000),
+    (2.0, 1): GofResult(8.35795742071414, 9, 0.498513662266038, 10, 20000),
+    (2.0, 2): GofResult(8.148871500508156, 9, 0.5192160805944015, 10, 20000),
+    (0.5, 181): GofResult(30.99670337217192, 9, 0.00029641760480355196, 10, 20000),
+    (0.5, 550): GofResult(28.322328256059617, 9, 0.0008424546387810494, 10, 20000),
+}
+
+
+@pytest.mark.parametrize("q, seed", list(GROWTH_GATE_PINS))
+def test_growth_gate_results_are_pinned(q, seed):
+    gate = validate_sampler("growth", 6, q, 20_000, seed)
+    assert gate.gof == GROWTH_GATE_PINS[q, seed]
+    assert gate.passed == (seed not in (181, 550))
 
 
 @pytest.mark.parametrize("n, draws", [(1, 2000), (6, 1)])
