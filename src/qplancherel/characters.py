@@ -5,7 +5,10 @@ Two evaluation paths:
 * exact: the Murnaghan-Nakayama rule over arbitrary-precision integers /
   Fractions, memoized per shape (sampled shapes take the float path).
   Border strips for the parts >= 2 of the cycle type go largest first,
-  and the dimension of the remaining shape absorbs the fixed points;
+  and the dimension of the remaining shape absorbs the fixed points.
+  A shape is its beta set, held as the bits of one int (the abacus): a
+  k-strip moves a bead from b to a free b - k and its height is the
+  number of beads between, a few big-int operations each;
 * float: Sigma_rho is a polynomial in the content power sums of the
   shape (Kerov-Olshanski), whose integer coefficients are fitted once
   per cycle type on small diagrams with the exact path.  Per shape it
@@ -26,7 +29,6 @@ from operator import mul, sub
 from qplancherel.partitions import (
     Partition,
     beta_numbers,
-    border_strips_of,
     hooks,
     partitions_of,
     size,
@@ -53,20 +55,47 @@ def log_dim(lam: Partition) -> float:
     return s
 
 
+@cache
 def _strip_parts(mu: Partition) -> Partition:
     """Parts >= 2 of mu, descending; the 1s merge into the fixed points."""
     return tuple(sorted((p for p in mu if p >= 2), reverse=True))
 
 
 @cache
-def _strip_sum(lam: Partition, parts: Partition) -> int:
+def _beads(lam: Partition) -> int:
+    """The beta set of lam as the bits of one int (its abacus)."""
+    return sum(1 << b for b in beta_numbers(lam))
+
+
+def _shape(beads: int) -> Partition:
+    """The partition of a bead set with no bead at 0: the j-th lowest
+    bead, at b, is the part b - j."""
+    bits = bin(beads)[:1:-1]  # bits[b] is the bit at b
+    parts = [b - j for j, b in enumerate(b for b, c in enumerate(bits) if c == "1")]
+    return tuple(reversed(parts))
+
+
+@cache
+def _strip_sum(beads: int, parts: Partition) -> int:
+    """The Murnaghan-Nakayama sum over strips of the sizes in parts, in
+    turn, on the abacus.  Beads at 0 are zero parts and are shifted out,
+    so each shape has one key."""
     if not parts:
-        return dim_of(lam)
+        return dim_of(_shape(beads))
     k, rest = parts[0], parts[1:]
+    between = (1 << (k - 1)) - 1
     total = 0
-    for height, shape_after in border_strips_of(lam, k):
-        term = _strip_sum(shape_after, rest)
-        total += -term if height % 2 else term
+    movable = (beads >> k & ~beads) << k  # a bead at b, none at b - k
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        low = bead.bit_length() - 1 - k  # where it lands
+        after = beads ^ bead ^ (bead >> k)
+        if not low:
+            after >>= (~after & (after + 1)).bit_length() - 1
+        term = _strip_sum(after, rest)
+        height = (beads >> (low + 1) & between).bit_count()
+        total += -term if height & 1 else term
     return total
 
 
@@ -74,7 +103,8 @@ def char_unnormalized(lam: Partition, mu: Partition) -> int:
     """chi^lam on cycle type mu 1^(n-|mu|), as an exact integer."""
     if size(mu) > size(lam):
         raise ValueError(f"|mu| = {size(mu)} exceeds |lam| = {size(lam)}")
-    return _strip_sum(lam, _strip_parts(mu))
+    parts = _strip_parts(mu)
+    return _strip_sum(_beads(lam), parts) if parts else dim_of(lam)
 
 
 def char_normalized(lam: Partition, mu: Partition) -> Fraction:

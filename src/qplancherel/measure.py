@@ -5,8 +5,9 @@ symbolic path keeps everything as reduced rational functions over the
 common denominator {n!}_q: M_{n,q}(lambda) = N_lambda / {n!}_q with
 N_lambda an integer polynomial, so the enumeration oracle
 `expectation_brute` sums the N_lambda first and reduces once per
-Sigma_rho.  The numeric table works in log space; a growth step
-multiplies only the q-integer ratios of the hooks it lengthens.
+Sigma_rho, and enumerates each E_n[Sigma_rho] once per process.  The
+numeric table works in log space; a growth step multiplies only the
+q-integer ratios of the hooks it lengthens.
 
 Three samplers produce the same law: exact inverse-CDF over the full
 table (small n), the RSK shape of n i.i.d. geometric letters, and the
@@ -199,26 +200,31 @@ def expectation_sigma_q(mu: Partition, n: int) -> QRat:
     return QRat(math.perm(n, size(mu)))
 
 
+@cache
+def _brute_sigma_expectation(rho: Partition, n: int) -> QRat:
+    """E_n[Sigma_rho] = QRat(sum_lam N_lam Sigma_rho(lam), {n!}_q) over
+    every lam of n: an integer polynomial times integers, reduced once."""
+    num = ZERO_POLY
+    for lam in partitions_of(n):
+        value = sigma_eval(rho, lam)
+        if value:
+            num = num + _measure_numerator(lam) * value
+    return QRat(num, qfactorial(n))
+
+
 def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
     """Oracle: full enumeration sum_lam M(lam) a(lam), exact.
 
-    Summed per symbol over the common denominator,
-    sum_rho c_rho QRat(sum_lam N_lam Sigma_rho(lam), {n!}_q), an integer
-    polynomial times integers: every lam of n is still visited, but each
-    Sigma_rho is reduced once, not each lam.
+    Linear in a: sum_rho c_rho E_n[Sigma_rho], where each E_n[Sigma_rho]
+    (`_brute_sigma_expectation`) visits every lam of n once and is
+    reduced once, over the common denominator {n!}_q, and is cached per
+    (rho, n), so expansions that share a symbol enumerate it once.
     """
     if n > BRUTE_EXPECTATION_MAX_N:
         raise ValueError(f"n = {n} exceeds enumeration guard {BRUTE_EXPECTATION_MAX_N}")
-    lams = partitions_of(n)
-    terms = []
-    for rho, c in a.terms.items():
-        num = ZERO_POLY
-        for lam in lams:
-            value = sigma_eval(rho, lam)
-            if value:
-                num = num + _measure_numerator(lam) * value
-        terms.append(c * QRat(num, qfactorial(n)))
-    return qrat_sum(terms)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return qrat_sum(c * _brute_sigma_expectation(rho, n) for rho, c in a.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +662,14 @@ def sample_growth_chunk(
     (`_growth_table`), and each chain is an index into it: a step looks
     up the chains' running sums and their covers' indices, and each
     shape's tuple is built once per table.  Larger n weighs the chains'
-    shapes afresh at each step.
+    shapes afresh at each step.  An empty chunk (m = 0) is [] at every n.
     """
     if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
         dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
         conjugates = {lam: conjugate(lam) for lam in set(dual)}  # once a shape
         return [conjugates[lam] for lam in dual]
+    if not m:
+        return []
     rng = chunk_generator(seed, 0, chunk_index)
     us = rng.random((m, n))
     if 0 < n <= GROWTH_TABLE_MAX_N:

@@ -1,4 +1,4 @@
-"""Integer partitions, hooks, set partitions, and border strips.
+"""Integer partitions, hooks, beta numbers and set partitions.
 
 Partitions are plain tuples of weakly decreasing positive ints; the
 empty partition is ``()``.  Everything here is pure and cached where the
@@ -183,41 +183,10 @@ def set_partitions_of(r: int) -> Iterator[SetPartition]:
 
 
 # ---------------------------------------------------------------------------
-# border strips, via first-column hook coordinates (beta numbers)
+# beta numbers
 
 def beta_numbers(lam: Partition) -> list[int]:
     """Beta numbers lam_i + len(lam) - 1 - i (0-based i): the hook
     lengths of the first column, strictly decreasing."""
     L = len(lam)
     return [lam[i] + (L - 1 - i) for i in range(L)]
-
-
-def _from_beta(beta: list[int]) -> Partition:
-    bs = sorted(beta, reverse=True)
-    L = len(bs)
-    parts = tuple(b - (L - 1 - i) for i, b in enumerate(bs))
-    return tuple(p for p in parts if p > 0)
-
-
-def border_strips_of(lam: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
-    """All size-k border strips removable from lam, as (height, shape
-    after) pairs.  A border strip is a connected ribbon with no 2x2
-    square; its height is the number of rows it spans less one.
-
-    In beta-number form a strip of size k is a move beta_i -> beta_i - k
-    landing on an unoccupied nonnegative value; the height is the number
-    of occupied values jumped over.
-    """
-    if k < 1:
-        raise ValueError("strip size must be >= 1")
-    beta = beta_numbers(lam)
-    occupied = set(beta)
-    out = []
-    for i, b in enumerate(beta):
-        target = b - k
-        if target < 0 or target in occupied:
-            continue
-        height = sum(1 for c in beta if target < c < b)
-        new_beta = beta[:i] + [target] + beta[i + 1 :]
-        out.append((height, _from_beta(new_beta)))
-    return tuple(out)

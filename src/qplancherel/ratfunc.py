@@ -9,6 +9,12 @@ polynomials.  Both forms are canonical (for QRat gcd(num, den) = 1 and
 den monic), so ``==`` is structural equality and symbolic identities can
 be asserted directly.  Plain rational constants are
 ``fractions.Fraction``.
+
+QRat arithmetic keeps the gcds small, as `fractions.Fraction` does for
+integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  A sum a/b + c/d takes
+g = gcd(b, d) and reduces t = a (d/g) + c (b/g) by gcd(t, g) alone, none
+when g = 1; a product cancels gcd(a, d) and gcd(c, b) before it
+multiplies, and a constant factor needs no gcd.
 """
 
 from __future__ import annotations
@@ -378,9 +384,18 @@ class QRat:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return QRat(self.num + other.num, self.den)
-        return QRat(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return QRat(a + c, b)
+        g = poly_gcd(b, d) if b.degree > 0 and d.degree > 0 else ONE_POLY
+        if g.degree > 0:
+            b, d = b.exact_div(g), d.exact_div(g)
+        # a prime of b/g or d/g divides one term of t only, so
+        # gcd(t, (b/g) (d/g) g) = gcd(t, g)
+        t, g = _cancel(a * d + c * b, g)
+        if t.is_zero():
+            return ZERO
+        return QRat._raw(t, b * d * g)
 
     __radd__ = __add__
 
@@ -402,9 +417,9 @@ class QRat:
             return NotImplemented
         if self.is_zero() or other.is_zero():
             return ZERO
-        if self.den.is_one() and other.den.is_one():
-            return QRat._raw(self.num * other.num, ONE_POLY)
-        return QRat(self.num * other.num, self.den * other.den)
+        a, d = _cancel(self.num, other.den)
+        c, b = _cancel(other.num, self.den)
+        return QRat._raw(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -414,7 +429,8 @@ class QRat:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by the zero rational function")
-        return QRat(self.num * other.den, self.den * other.num)
+        inv = 1 / other.num.lead  # other's reciprocal, its den made monic
+        return self * QRat._raw(other.den * inv, other.num * inv)
 
     def __rtruediv__(self, other) -> "QRat":
         return _coerce(other) / self
@@ -454,6 +470,17 @@ class QRat:
         if self.den.is_one():
             return poly_str(self.num)
         return f"({poly_str(self.num)}) / ({poly_str(self.den)})"
+
+
+def _cancel(a: QPoly, b: QPoly) -> tuple[QPoly, QPoly]:
+    """a / g and b / g for g the monic gcd of a and b; a constant on
+    either side needs no gcd."""
+    if a.degree < 1 or b.degree < 1:
+        return a, b
+    g = poly_gcd(a, b)
+    if g.degree < 1:
+        return a, b
+    return a.exact_div(g), b.exact_div(g)
 
 
 def _to_poly(x) -> QPoly:

@@ -3,9 +3,11 @@
 A parser for the textual form of `str(QPoly)` and `str(QRat)`, so that
 an expected rational function can be written as it prints; polynomial
 arithmetic on plain lists of Fractions, the reference for the integer
-`QPoly`; the per-partition expectation sum; the conjugacy class sizes
-of the symmetric group; a float Murnaghan-Nakayama evaluation of
-normalized characters in log space; the RSK shape of a word by
+`QPoly`; the per-partition expectation sum; the `QRat` sum, difference, product and quotient reduced
+by one gcd of the whole numerator and denominator; the conjugacy class
+sizes of the symmetric group; border strips as (height, shape after)
+pairs and the Murnaghan-Nakayama rule on partitions; a float
+Murnaghan-Nakayama evaluation of normalized characters in log space; the RSK shape of a word by
 inserting its letters one at a time; the coherent growth process one
 shape and one box at a time; the bootstrap covariances by one
 `np.cov` per resample; the forward-difference moment table with every
@@ -26,7 +28,7 @@ from operator import mul
 
 import numpy as np
 
-from qplancherel.characters import char_normalized
+from qplancherel.characters import char_normalized, dim_of
 from qplancherel.measure import (
     GrowthCoherencyError,
     chunk_generator,
@@ -46,6 +48,22 @@ from qplancherel.partitions import (
     z_of,
 )
 from qplancherel.ratfunc import QPoly, QRat, qrat_sum
+
+
+def qrat_add_by_one_gcd(x: QRat, y: QRat) -> QRat:
+    return QRat(x.num * y.den + y.num * x.den, x.den * y.den)
+
+
+def qrat_sub_by_one_gcd(x: QRat, y: QRat) -> QRat:
+    return QRat(x.num * y.den - y.num * x.den, x.den * y.den)
+
+
+def qrat_mul_by_one_gcd(x: QRat, y: QRat) -> QRat:
+    return QRat(x.num * y.num, x.den * y.den)
+
+
+def qrat_div_by_one_gcd(x: QRat, y: QRat) -> QRat:
+    return QRat(x.num * y.den, x.den * y.num)
 
 
 def conjugacy_class_size(nu: Partition) -> int:
@@ -99,6 +117,55 @@ def char_normalized_float_mn(lam: Partition, mu: Partition) -> float:
 
     descend(beta_numbers(lam), size(lam), 0, 0.0, 1)
     return total
+
+
+def _from_beta(beta: list[int]) -> Partition:
+    bs = sorted(beta, reverse=True)
+    L = len(bs)
+    parts = tuple(b - (L - 1 - i) for i, b in enumerate(bs))
+    return tuple(p for p in parts if p > 0)
+
+
+def border_strips_of(lam: Partition, k: int) -> tuple[tuple[int, Partition], ...]:
+    """All size-k border strips removable from lam, as (height, shape
+    after) pairs.  A border strip is a connected ribbon with no 2x2
+    square; its height is the number of rows it spans less one.
+
+    In beta-number form a strip of size k is a move beta_i -> beta_i - k
+    landing on an unoccupied nonnegative value; the height is the number
+    of occupied values jumped over.
+    """
+    if k < 1:
+        raise ValueError("strip size must be >= 1")
+    beta = beta_numbers(lam)
+    occupied = set(beta)
+    out = []
+    for i, b in enumerate(beta):
+        target = b - k
+        if target < 0 or target in occupied:
+            continue
+        height = sum(1 for c in beta if target < c < b)
+        new_beta = beta[:i] + [target] + beta[i + 1 :]
+        out.append((height, _from_beta(new_beta)))
+    return tuple(out)
+
+
+def char_by_border_strips(lam: Partition, mu: Partition) -> int:
+    """chi^lam on cycle type mu 1^(n-|mu|): the parts >= 2 of mu removed
+    as border strips, largest first, each path signed by its heights and
+    ending in the dimension of the shape left."""
+    parts = sorted((p for p in mu if p >= 2), reverse=True)
+
+    @cache
+    def strip_sum(shape: Partition, i: int) -> int:
+        if i == len(parts):
+            return dim_of(shape)
+        return sum(
+            (-1) ** height * strip_sum(after, i + 1)
+            for height, after in border_strips_of(shape, parts[i])
+        )
+
+    return strip_sum(lam, 0)
 
 
 _TERM_RE = re.compile(

@@ -16,9 +16,10 @@ from qplancherel.characters import (
     log_dim,
     sigma_eval,
 )
-from qplancherel.partitions import partitions_of, size, z_of
+from qplancherel.measure import sample_rsk_chunk
+from qplancherel.partitions import conjugate, partitions_of, size, z_of
 
-from oracles import conjugacy_class_size
+from oracles import char_by_border_strips, conjugacy_class_size
 
 # ---------------------------------------------------------------------------
 # oracle: Frobenius character formula.  chi^lam(mu) is the coefficient of
@@ -172,6 +173,24 @@ class TestCharacterValues:
                     for mu in parts
                 )
                 assert s == (math.factorial(n) if lam == rho else 0)
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_beads_equal_the_border_strip_rule(self, m):
+        # every lam of m, every cycle type of at most m boxes
+        mus = [mu for j in range(m + 1) for mu in partitions_of(j)]
+        for lam in partitions_of(m):
+            for mu in mus:
+                assert char_unnormalized(lam, mu) == char_by_border_strips(lam, mu), (lam, mu)
+
+    @pytest.mark.parametrize("mu", [(2,), (3,), (5,), (3, 2), (4, 2, 2), (7,)])
+    def test_beads_equal_the_border_strip_rule_on_long_shapes(self, mu):
+        # conjugates of RSK shapes at n = 1000, q = 1/2: hundreds of rows,
+        # beads far above 0, and strips that empty the bottom rows
+        shapes = [conjugate(lam) for lam in sample_rsk_chunk(1000, 0.5, 42, 0, 2)]
+        shapes += [(3,) * 40 + (1,) * 300, (1,) * 64, (4, 2, 1, 1, 1, 1)]
+        assert min(len(lam) for lam in shapes[:2]) > 200
+        for lam in shapes:
+            assert char_unnormalized(lam, mu) == char_by_border_strips(lam, mu), (lam, mu)
 
     @given(partitions_small, st.sampled_from([(2,), (3,), (2, 2), (2, 1), (3, 2)]))
     def test_normalized_in_unit_interval(self, lam, mu):

@@ -12,6 +12,8 @@ from hypothesis import given, strategies as st
 from qplancherel import measure
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.measure import (
+    EXACT_SAMPLER_MAX_N,
+    SAMPLER_CHUNK_FNS,
     GrowthCoherencyError,
     _geometric_letters,
     _largest_letter,
@@ -177,7 +179,16 @@ class TestBruteExpectation:
     def test_equals_the_per_partition_sum(self, n):
         assert expectation_brute(MIXED, n) == expectation_by_partition(MIXED, n)
 
-    def test_a_perturbed_numerator_is_caught(self, monkeypatch):
+    @pytest.fixture
+    def fresh_symbol_expectations(self):
+        # an E_n[Sigma_rho] cached before a test that patches
+        # `_measure_numerator` would hide the patch, and one cached under
+        # the patch outlive it
+        measure._brute_sigma_expectation.cache_clear()
+        yield
+        measure._brute_sigma_expectation.cache_clear()
+
+    def test_a_perturbed_numerator_is_caught(self, monkeypatch, fresh_symbol_expectations):
         n, lam = 6, (4, 2)
         want = expectation_by_partition(MIXED, n)  # before the perturbation
         honest = measure._measure_numerator
@@ -227,6 +238,20 @@ class TestStatW:
                 if i < exact_shapes:
                     exact = q_char_normalized(lam, (k,), Fraction(q0))
                     assert abs(w - math.sqrt(n) * float(exact)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "method, n, q0",
+    [
+        (method, n, q0)
+        for method in sorted(SAMPLER_CHUNK_FNS)
+        for n in (0, 6, 14, 15, 200)  # the exact sampler stops at 40
+        for q0 in (0.5, 2.0)
+        if method != "exact" or n <= EXACT_SAMPLER_MAX_N
+    ],
+)
+def test_an_empty_chunk_is_an_empty_list(method, n, q0):
+    assert SAMPLER_CHUNK_FNS[method](n, q0, 3, 1, 0) == []
 
 
 class TestExactSampler:

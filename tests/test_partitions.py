@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from qplancherel.partitions import (
     added_row,
-    border_strips_of,
     check_partition,
     conjugate,
     covers_of,
@@ -23,7 +22,7 @@ from qplancherel.partitions import (
     z_of,
 )
 
-from oracles import conjugacy_class_size
+from oracles import border_strips_of, conjugacy_class_size
 
 
 @st.composite

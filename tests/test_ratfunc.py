@@ -31,6 +31,10 @@ from oracles import (
     frac_strip,
     parse_poly,
     parse_qrat,
+    qrat_add_by_one_gcd,
+    qrat_div_by_one_gcd,
+    qrat_mul_by_one_gcd,
+    qrat_sub_by_one_gcd,
 )
 
 halves = st.fractions(max_denominator=8)
@@ -42,6 +46,24 @@ nonzero_polys = small_polys.filter(lambda p: not p.is_zero())
 
 def qrats(draw_num=small_polys, draw_den=nonzero_polys):
     return st.builds(QRat, draw_num, draw_den)
+
+
+# products of a few factors out of a small pool, so that numerators and
+# denominators of different draws share factors
+factors = st.one_of(
+    st.integers(min_value=1, max_value=6).map(one_minus_q_int),
+    st.integers(min_value=1, max_value=6).map(qint),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
+    .map(QPoly)
+    .filter(lambda p: not p.is_zero()),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool).map(QPoly.const),
+)
+factor_products = st.lists(factors, max_size=4).map(
+    lambda fs: math.prod(fs, start=QPoly.const(1))
+)
+shared_factor_qrats = st.builds(
+    QRat, st.one_of(factor_products, st.just(QPoly())), factor_products
+)
 
 
 class TestQPoly:
@@ -348,6 +370,20 @@ class TestQRat:
             return
         assert vs == va + vb
         assert vp == va * vb
+
+    @given(shared_factor_qrats, shared_factor_qrats)
+    def test_split_gcds_equal_the_one_gcd_route(self, x, y):
+        routes = [
+            (x + y, qrat_add_by_one_gcd(x, y)),
+            (x - y, qrat_sub_by_one_gcd(x, y)),
+            (x * y, qrat_mul_by_one_gcd(x, y)),
+        ]
+        if not y.is_zero():
+            routes.append((x / y, qrat_div_by_one_gcd(x, y)))
+        for got, want in routes:
+            assert (got.num, got.den) == (want.num, want.den)
+            assert got.den.lead == 1
+            assert poly_gcd(got.num, got.den) == QPoly.const(1)
 
     def test_qrat_sum_matches_left_fold(self):
         terms = [QRat(qint(k), qint(k + 1)) for k in range(1, 6)]
