@@ -391,10 +391,8 @@ class QRat:
         if g.degree > 0:
             b, d = b.exact_div(g), d.exact_div(g)
         # a prime of b/g or d/g divides one term of t only, so
-        # gcd(t, (b/g) (d/g) g) = gcd(t, g)
+        # gcd(t, (b/g) (d/g) g) = gcd(t, g); t != 0 since b != d
         t, g = _cancel(a * d + c * b, g)
-        if t.is_zero():
-            return ZERO
         return QRat._raw(t, b * d * g)
 
     __radd__ = __add__

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qplancherel.asymptotics import cov_closed_form
 from qplancherel.hecke import sigma_q_in_sigma
@@ -48,21 +48,33 @@ def qrats(draw_num=small_polys, draw_den=nonzero_polys):
     return st.builds(QRat, draw_num, draw_den)
 
 
-# products of a few factors out of a small pool, so that numerators and
-# denominators of different draws share factors
-factors = st.one_of(
-    st.integers(min_value=1, max_value=6).map(one_minus_q_int),
-    st.integers(min_value=1, max_value=6).map(qint),
+# products of factors out of a small pool of (1 - q^a) and {a}_q: every
+# denominator has a factor 1 - q^a, so the denominators of two draws
+# share 1 - q unless a numerator cancels it; a numerator starts from a
+# small integer polynomial times a rational constant
+one_minus_q_factors = st.integers(min_value=1, max_value=6).map(one_minus_q_int)
+cyclotomic_factors = st.one_of(
+    one_minus_q_factors, st.integers(min_value=2, max_value=6).map(qint)
+)
+small_factors = st.builds(
+    QPoly.__mul__,
     st.lists(st.integers(min_value=-3, max_value=3), min_size=1, max_size=3)
     .map(QPoly)
     .filter(lambda p: not p.is_zero()),
-    st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool).map(QPoly.const),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4).filter(bool),
 )
-factor_products = st.lists(factors, max_size=4).map(
-    lambda fs: math.prod(fs, start=QPoly.const(1))
-)
+
+
+def products(first, rest):
+    return st.tuples(first, st.lists(rest, max_size=3)).map(
+        lambda fs: math.prod(fs[1], start=fs[0])
+    )
+
+
 shared_factor_qrats = st.builds(
-    QRat, st.one_of(factor_products, st.just(QPoly())), factor_products
+    QRat,
+    products(small_factors, cyclotomic_factors),
+    products(one_minus_q_factors, cyclotomic_factors),
 )
 
 
@@ -372,6 +384,9 @@ class TestQRat:
         assert vp == va * vb
 
     @given(shared_factor_qrats, shared_factor_qrats)
+    # 1/(1 - q) - 2/(1 - q^2) = -1/(1 + q): the sum cancels a factor of g
+    @example(QRat(1, one_minus_q_int(1)), QRat(2, one_minus_q_int(2)))
+    @example(QRat(0), QRat(1, one_minus_q_int(2)))
     def test_split_gcds_equal_the_one_gcd_route(self, x, y):
         routes = [
             (x + y, qrat_add_by_one_gcd(x, y)),
