@@ -48,12 +48,12 @@ from qplancherel.partitions import (
     z_of,
 )
 from qplancherel.ratfunc import (
+    ZERO,
     QPoly,
     QRat,
     one_minus_q_int,
     one_minus_q_pow,
     qint,
-    qrat_sum,
 )
 
 SHAPE_MAX_ORDER = 4  # skewness and excess kurtosis need cumulants up to 4
@@ -81,7 +81,7 @@ def limit_cov_z(mu: Partition, nu: Partition) -> QRat:
         QPoly.monomial(1) * one_minus_q_pow((1,) * (size(mu) + size(nu) - 1)),
         one_minus_q_pow(union(mu, nu)),
     )
-    return prefactor * qrat_sum(_pair_term(c, d) for c in mu for d in nu)
+    return prefactor * sum((_pair_term(c, d) for c in mu for d in nu), ZERO)
 
 
 def cov_double_sum(k: int, l: int) -> QRat:
@@ -204,7 +204,7 @@ def _closed_weights(n: int) -> tuple[Fraction, ...]:
 
 def _sum_by_length(f: ClassFunction, weights: Sequence[Fraction]) -> QRat:
     # sum over m >= 1 of f(m) weights[m], skipping zero weights
-    return qrat_sum(f(m) * w for m, w in enumerate(weights) if m and w)
+    return sum((f(m) * w for m, w in enumerate(weights) if m and w), ZERO)
 
 
 def _check_mobius_n(n: int) -> None:

@@ -63,13 +63,13 @@ from qplancherel.partitions import (
     size,
 )
 from qplancherel.ratfunc import (
+    ZERO,
     ZERO_POLY,
     QPoly,
     QRat,
     one_minus_q_pow,
     qfactorial,
     qint,
-    qrat_sum,
 )
 
 EXACT_SAMPLER_MAX_N = 40
@@ -127,7 +127,7 @@ def measure_value(lam: Partition) -> QRat:
 
 @cache
 def measure_table(
-    n: int, q0: Fraction | None = None
+    n: int, q0: Fraction | float | None = None
 ) -> dict[Partition, QRat] | dict[Partition, Fraction]:
     """Measure vector over partitions of n, enumeration order.
 
@@ -135,10 +135,11 @@ def measure_table(
     gives the exact Fractions of the q-hook formula, dim q0^n(lam) /
     prod {h}_q0, as one quotient of integers: {h}_q0 = N_h / b^(h-1) with
     N_h = a^(h-1) + b N_(h-1), and the boxes' h - 1 sum to n(lam) + n(lam').
+    A float q0 is read as the Fraction of its exact binary value.
     """
     if q0 is None:
         return {lam: measure_value(lam) for lam in partitions_of(n)}
-    a, b = q0.numerator, q0.denominator
+    a, b = q0.as_integer_ratio()
     qints = [1]  # N_h at index h - 1
     for h in range(1, n):
         qints.append(a**h + b * qints[-1])
@@ -224,7 +225,7 @@ def expectation_brute(a: ObservableExpansion, n: int) -> QRat:
         raise ValueError(f"n = {n} exceeds enumeration guard {BRUTE_EXPECTATION_MAX_N}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return qrat_sum(c * _brute_sigma_expectation(rho, n) for rho, c in a.terms.items())
+    return sum((c * _brute_sigma_expectation(rho, n) for rho, c in a.terms.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +427,16 @@ def _geometric_letters(rng: np.random.Generator, n: int, m: int, q0: float) -> n
     return letters
 
 
+def _conjugate_draw(
+    chunk_fn, n: int, q0: float, seed: int, chunk_index: int, m: int
+) -> list[Partition]:
+    """A draw at q0 > 1 by M_q(lam) = M_{1/q}(lam'): chunk_fn's draw at
+    1/q0, each distinct shape conjugated once."""
+    dual = chunk_fn(n, 1 / q0, seed, chunk_index, m)
+    conjugates = {lam: conjugate(lam) for lam in set(dual)}
+    return [conjugates[lam] for lam in dual]
+
+
 def sample_rsk_chunk(
     n: int, q0: float, seed: int, chunk_index: int, m: int
 ) -> list[Partition]:
@@ -437,9 +448,8 @@ def sample_rsk_chunk(
     row r.  Each sub-batch draws its own rows of letters, in order, so the
     letters are those of one (m, n) draw.
     """
-    if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
-        dual = sample_rsk_chunk(n, 1 / q0, seed, chunk_index, m)
-        return [conjugate(lam) for lam in dual]
+    if q0 > 1:
+        return _conjugate_draw(sample_rsk_chunk, n, q0, seed, chunk_index, m)
     if n == 0:
         return [()] * m
     rng = chunk_generator(seed, 0, chunk_index)
@@ -664,10 +674,8 @@ def sample_growth_chunk(
     shape's tuple is built once per table.  Larger n weighs the chains'
     shapes afresh at each step.  An empty chunk (m = 0) is [] at every n.
     """
-    if q0 > 1:  # M_q(lam) = M_{1/q}(lam'): draw at 1/q and conjugate
-        dual = sample_growth_chunk(n, 1 / q0, seed, chunk_index, m)
-        conjugates = {lam: conjugate(lam) for lam in set(dual)}  # once a shape
-        return [conjugates[lam] for lam in dual]
+    if q0 > 1:
+        return _conjugate_draw(sample_growth_chunk, n, q0, seed, chunk_index, m)
     if not m:
         return []
     rng = chunk_generator(seed, 0, chunk_index)

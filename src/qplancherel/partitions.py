@@ -35,10 +35,7 @@ def parse_partition(text: str) -> Partition:
     if not s or s == "[]":
         return ()
     if s.startswith("["):
-        data = json.loads(s)
-        if not isinstance(data, list):
-            raise ValueError(f"expected a JSON array of parts: {text!r}")
-        return check_partition(data)
+        return check_partition(json.loads(s))
     try:
         parts = [int(tok) for tok in s.split(",")]
     except ValueError:

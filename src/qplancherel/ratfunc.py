@@ -14,7 +14,9 @@ QRat arithmetic keeps the gcds small, as `fractions.Fraction` does for
 integers (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  A sum a/b + c/d takes
 g = gcd(b, d) and reduces t = a (d/g) + c (b/g) by gcd(t, g) alone, none
 when g = 1; a product cancels gcd(a, d) and gcd(c, b) before it
-multiplies, and a constant factor needs no gcd.
+multiplies, and a constant factor needs no gcd.  So a sum of many
+terms is the built-in ``sum(terms, ZERO)``: each step's gcds are those
+of the step's denominators only.
 """
 
 from __future__ import annotations
@@ -499,20 +501,6 @@ def _coerce(x):
 
 ZERO = QRat._raw(ZERO_POLY, ONE_POLY)
 ONE = QRat._raw(ONE_POLY, ONE_POLY)
-
-
-def qrat_sum(terms: Iterable[QRat]) -> QRat:
-    """Sum many QRat, grouping by denominator to avoid repeated gcds."""
-    by_den: dict[QPoly, QPoly] = {}
-    for t in terms:
-        if t.is_zero():
-            continue
-        acc = by_den.get(t.den)
-        by_den[t.den] = t.num if acc is None else acc + t.num
-    total = ZERO
-    for den, num in by_den.items():
-        total = total + QRat(num, den)
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -3,30 +3,35 @@
 Only the coefficients needed by the change of basis between the two
 families of central characters are implemented: expansions of h_rho in
 power sums, of p_rho in complete homogeneous functions, and the Hall
-pairings they encode.  All coefficients are exact Fractions.  Both
-are products over the parts of rho, so one loop expands either from its
-one-part expansions.
+pairings they encode, with exact Fraction coefficients.  Both are
+products over the parts of rho, so one loop expands either from its
+one-part expansions.  Their index multiplies by the union of
+partitions, and so does the disjoint product of observables: one
+`union_product` serves both, with Fraction or QRat coefficients.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from typing import Mapping
 
 from qplancherel.partitions import Partition, partitions_of, union, z_of
 
 
-def _clean(coeffs: dict[Partition, Fraction]) -> dict[Partition, Fraction]:
-    return {mu: c for mu, c in coeffs.items() if c != 0}
+def _clean(coeffs: dict) -> dict:
+    return {mu: c for mu, c in coeffs.items() if c}
 
 
-def _mul(a: dict[Partition, Fraction], b: dict[Partition, Fraction]) -> dict:
-    # valid in the p and h bases, where the index behaves multiplicatively
-    out: dict[Partition, Fraction] = {}
+def union_product(a: Mapping, b: Mapping) -> dict:
+    """Bilinear extension of x_mu x_nu = x_(mu union nu), zero
+    coefficients dropped: the product in the p and h bases, and the
+    disjoint product of Sigma symbols."""
+    out = {}
     for mu, ca in a.items():
         for nu, cb in b.items():
             key = union(mu, nu)
-            out[key] = out.get(key, Fraction(0)) + ca * cb
+            out[key] = out[key] + ca * cb if key in out else ca * cb
     return _clean(out)
 
 
@@ -40,7 +45,7 @@ def _product_of_parts(rho: Partition, part_expansion) -> dict[Partition, Fractio
     # f_rho = prod_i f_{rho_i}, where part_expansion(k) expands f_k
     acc: dict[Partition, Fraction] = {(): Fraction(1)}
     for part in rho:
-        acc = _mul(acc, dict(part_expansion(part)))
+        acc = union_product(acc, dict(part_expansion(part)))
     return acc
 
 

@@ -47,7 +47,7 @@ from qplancherel.partitions import (
     size,
     z_of,
 )
-from qplancherel.ratfunc import QPoly, QRat, qrat_sum
+from qplancherel.ratfunc import ZERO, QPoly, QRat
 
 
 def qrat_add_by_one_gcd(x: QRat, y: QRat) -> QRat:
@@ -64,6 +64,18 @@ def qrat_mul_by_one_gcd(x: QRat, y: QRat) -> QRat:
 
 def qrat_div_by_one_gcd(x: QRat, y: QRat) -> QRat:
     return QRat(x.num * y.den, x.den * y.num)
+
+
+def qrat_sum_by_denominator(terms) -> QRat:
+    """Sum of QRats whose numerators are added per denominator first,
+    and whose groups are added by one gcd each."""
+    by_den: dict[QPoly, QPoly] = {}
+    for t in terms:
+        by_den[t.den] = by_den[t.den] + t.num if t.den in by_den else t.num
+    total = ZERO
+    for den, num in by_den.items():
+        total = qrat_add_by_one_gcd(total, QRat(num, den))
+    return total
 
 
 def conjugacy_class_size(nu: Partition) -> int:
@@ -374,7 +386,7 @@ def frac_eval(a, x):
 
 def expectation_by_partition(a: ObservableExpansion, n: int) -> QRat:
     """sum over lam of n of M(lam) a(lam), one reduced term per partition."""
-    return qrat_sum(measure_value(lam) * eval_expansion(a, lam) for lam in partitions_of(n))
+    return sum((measure_value(lam) * eval_expansion(a, lam) for lam in partitions_of(n)), ZERO)
 
 
 def moment_differences_by_fractions(

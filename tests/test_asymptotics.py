@@ -34,7 +34,7 @@ from qplancherel.characters import char_normalized, sigma_eval
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
 from qplancherel.observables import ObservableExpansion, product_sigma
 from qplancherel.partitions import partitions_of, size
-from qplancherel.ratfunc import QPoly, QRat, one_minus_q_pow, qrat_sum
+from qplancherel.ratfunc import ZERO, QPoly, QRat, one_minus_q_pow
 from qplancherel.selftest import product_rule_cumulants
 
 from oracles import moment_differences_by_fractions
@@ -181,7 +181,9 @@ def test_permutation_counts_give_the_same_weights(n):
     # f(m) = q^m makes the sum the generating polynomial of the weights
     q_power = lambda m: QRat(QPoly.monomial(m))
     weights = _partition_weights(n)
-    assert mobius_perm_brute(q_power, n) == qrat_sum(q_power(m) * w for m, w in enumerate(weights))
+    assert mobius_perm_brute(q_power, n) == sum(
+        (q_power(m) * w for m, w in enumerate(weights)), ZERO
+    )
 
 
 def test_perm_brute_cap():
@@ -483,7 +485,7 @@ def test_expectation_at_point_matches_symbolic():
     x = sigma_q_in_sigma((3,))
     a = x * x
     for n in (5, 40):
-        symbolic = qrat_sum(c * expectation_sigma(rho, n) for rho, c in a.terms.items())
+        symbolic = sum((c * expectation_sigma(rho, n) for rho, c in a.terms.items()), ZERO)
         assert expectation_of_expansion(a, n, HALF) == QRat(symbolic.eval_at(HALF))
 
 
@@ -493,6 +495,12 @@ def test_shape_targets_out_of_reach():
     # output is unchanged; the interpolation itself could go further
     assert len(q_char_cumulants_at(3, 20, HALF)) == 4
     assert w_shape_at(5, 20, HALF) == (None, None)
+
+
+@pytest.mark.parametrize("k, n, message", [(1, 20, "k must be >= 2"), (5, 4, "k = 5 exceeds n = 4")])
+def test_shape_targets_refuse_a_k_out_of_range(k, n, message):
+    with pytest.raises(ValueError, match=message):
+        q_char_cumulants_at(k, n, HALF)
 
 
 @pytest.mark.parametrize("first, second", [(0.5, HALF), (HALF, 0.5)])

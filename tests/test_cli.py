@@ -208,6 +208,27 @@ def test_config_file_supplies_defaults_and_cli_wins(tmp_path, capsys):
     assert json.loads(overridden)["config"]["num_samples"] == 800
 
 
+def test_config_line_without_equals_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 10\n# comment\nbogus\n")
+    code, out, err = run_cli(["clt", "--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", f"error: {cfg}:3: expected key = value\n")
+
+
+def test_clt_refuses_a_negative_bootstrap(capsys):
+    code, out, err = run_cli(CLT_ARGS + ["--bootstrap", "-1"], capsys)
+    assert (code, out, err) == (2, "", "error: bootstrap resample count must be >= 0\n")
+
+
+def test_sample_stats_of_three_draws_has_no_fourth_cumulant(capsys):
+    # below four draws the unbiased k4 does not exist and reads 0
+    argv = ["sample", "--n", "6", "--q", "1/2", "--count", "3", "--method", "exact"]
+    code, out, _ = run_cli(argv + ["--stats", "2", "--format", "json"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and payload["count"] == 3
+    assert payload["excess_kurtosis"] == [0.0]
+
+
 def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     target = tmp_path / "cov.txt"
     code, out, _ = run_cli(

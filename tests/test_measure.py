@@ -107,6 +107,13 @@ class TestMeasureValues:
         for lam, p in zip(parts, probs):
             assert p == pytest.approx(float(measure_value(lam).eval_at(qr)), rel=1e-9)
 
+    @pytest.mark.parametrize("q0", [0.5, 0.1])
+    def test_exact_table_reads_a_float_as_its_exact_fraction(self, q0):
+        # a float and its equal Fraction are one cache key: call past it
+        table = measure_table.__wrapped__(4, q0)
+        assert table == measure_table(4, Fraction(q0))
+        assert all(type(v) is Fraction for v in table.values())
+
     def test_float_table_is_one_shared_read_only_array(self):
         # the gate and the exact sampler read the same cached table
         parts, probs = measure_probabilities(6, 0.5)

@@ -365,6 +365,10 @@ def test_cumulants_refuse_an_empty_key():
 
 
 class TestIdentityCumulant:
+    def test_refuses_no_cycle_length(self):
+        with pytest.raises(ValueError, match="need at least one cycle length"):
+            identity_cumulant(())
+
     def test_hand_examples(self):
         assert identity_cumulant((1, 1)) == sigma((1,))
         assert identity_cumulant((2, 2)) == expansion_of([((3,), 4), ((1, 1), 2)])

@@ -242,12 +242,10 @@ class TestTextForms:
         assert parse_partition("[]") == ()
 
     def test_parse_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            parse_partition("1,3")
-        with pytest.raises(ValueError):
-            parse_partition("0")
-        with pytest.raises(ValueError):
-            parse_partition("a,b")
+        # a text that starts with [ is a JSON array or no JSON at all
+        for text in ("1,3", "0", "a,b", "[3, 1", "[3] [1]", "[[3]]", '["3"]'):
+            with pytest.raises(ValueError):
+                parse_partition(text)
 
     @pytest.mark.parametrize("text", ["[true]", "[2, true]"])
     def test_parse_rejects_json_bools(self, text):

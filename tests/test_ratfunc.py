@@ -19,7 +19,6 @@ from qplancherel.ratfunc import (
     poly_gcd,
     qfactorial,
     qint,
-    qrat_sum,
 )
 
 from oracles import (
@@ -35,6 +34,7 @@ from oracles import (
     qrat_div_by_one_gcd,
     qrat_mul_by_one_gcd,
     qrat_sub_by_one_gcd,
+    qrat_sum_by_denominator,
 )
 
 halves = st.fractions(max_denominator=8)
@@ -400,12 +400,14 @@ class TestQRat:
             assert got.den.lead == 1
             assert poly_gcd(got.num, got.den) == QPoly.const(1)
 
-    def test_qrat_sum_matches_left_fold(self):
-        terms = [QRat(qint(k), qint(k + 1)) for k in range(1, 6)]
-        acc = ZERO
-        for t in terms:
-            acc = acc + t
-        assert qrat_sum(terms) == acc
+    @given(st.lists(shared_factor_qrats, max_size=8))
+    @example([QRat(qint(k), qint(k + 1)) for k in range(1, 6)])
+    def test_sum_matches_the_grouped_oracle(self, terms):
+        got = sum(terms, ZERO)
+        want = qrat_sum_by_denominator(terms)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.den.lead == 1
+        assert poly_gcd(got.num, got.den) == QPoly.const(1)
 
 
 class TestTextForm:
