@@ -496,13 +496,36 @@ def _growth_weights(
     and in its column above it.  Across a block u of equal rows or equal
     columns they are consecutive, so the block telescopes to one factor
     (1 - q^h_min) / (1 - q^(h_max + 1)): a column factor when u < t, a
-    row factor when t <= u, for the cover t.  The factors of a run of
-    consecutive blocks are formed as one (B, m, C) array, by one gather
-    and one divide each for the numerators and the denominators, and
-    each weight is multiplied by its factor of block u in order of u, so
-    every weight is the product of the same floats in the same order as
-    in the shape-by-shape loop.  B keeps that array within
-    GROWTH_FACTOR_SLOTS entries, or at one block.
+    row factor when t <= u, for the cover t.  With a_t the part of top
+    i_t (0 for the empty row), lead_t = a_t - i_t, the content of the box
+    that cover t adds, strictly decreases in t.  With P_u = a_u - i_(u+1),
+    the content of the last box of block u, both cases are one closed form,
+    drops[x] / drops[y] with drops[k] = 1 - q^k and
+
+        x = |P_u - lead_t|,
+        y = max(lead_u - lead_t, lead_t - lead_(u+1)):
+
+    for t <= u, x = lead_t - P_u is the row exponent (row i_t, columns
+    a_(u+1) .. a_u - 1) and y = lead_t - lead_(u+1); for t > u,
+    x = P_u - lead_t is the column exponent (column a_t, rows i_u ..
+    i_(u+1) - 1) and y = lead_u - lead_t.
+
+    Past each chain's count the tops are padded with depth + 1 and lead
+    with -depth - 1, depth the shape's rows plus one.  Then every block u
+    past the chain's last, u >= count - 1, has P_u = lead_(u+1) =
+    -depth - 1, so for a live cover x = y = lead_t + depth + 1 and the
+    factor is drops[x] / drops[x] = 1 exactly.  A padded cover, whose
+    weight is 0, may read exponent 0, so drops[0] is set to 1 to keep
+    its factors finite.  Every exponent lies in 0 .. lam_1 + depth + 1
+    <= size + 3, never negative (numpy would wrap it).
+
+    The factors of a run of consecutive blocks are formed as one
+    (B, m, C) array, by one gather and one divide each for the
+    numerators and the denominators, and each weight is multiplied by
+    its factor of block u in order of u, so every weight is the product
+    of the same floats in the same order as in the shape-by-shape loop.
+    B keeps that array within GROWTH_FACTOR_SLOTS entries, or at one
+    block.
     """
     m, width = rows.shape
     is_top = np.empty((m, width), dtype=bool)
@@ -512,45 +535,27 @@ def _growth_weights(
     c = int(count.max())
     chain, row = np.nonzero(is_top)
     slot = np.arange(chain.size) - np.repeat(np.cumsum(count) - count, count)
-    tops = np.zeros((m, c), dtype=np.intp)
-    tops[chain, slot] = row
     # the last top is the empty row, so depth = rows of the shape + 1
     depth = row[np.cumsum(count) - 1, None] + 1
-    lead = np.repeat(-depth, c, axis=1)  # a_t - i_t; -depth past the count
+    tops = np.repeat(depth + 1, c, axis=1)
+    tops[chain, slot] = row
+    lead = np.repeat(-depth - 1, c, axis=1)
     lead[chain, slot] = rows[chain, row] - row
-    parts = lead + tops
-    w = np.where(np.arange(c) < count[:, None], powers[tops], 0.0)
+    w = np.zeros((m, c))
+    w[chain, slot] = powers[row]
     drops = 1.0 - powers
-    lead = lead[None]  # (1, m, C) against a run of blocks' (B, m, 1)
-    # tops and parts as (C, m, 1) columns, so that the (B, m, C) factors
-    # hold each block's (m, C) rows in one contiguous piece
-    tops_t, parts_t = tops.T[:, :, None], parts.T[:, :, None]
-    live = np.arange(1, c)[:, None, None] < count[:, None]  # block u, chain
-    # Block u is live in a chain with more than u + 1 covers.  In a dead
-    # block both exponents below are lead_t + depth + 1, so its factor is
-    # drops[x] / drops[x] = 1 exactly.  Every exponent, a padded cover's
-    # too, lies in 1 .. lam_1 + depth + 1 <= size + 3, never at
-    # drops[0] = 0 nor negative (numpy would wrap it), and a padded weight
-    # stays 0.
-    dead = depth[None] + 1
+    drops[0] = 1.0
+    # P_u and lead_u as (C, m, 1) columns against lead_t's (m, C) rows, so
+    # that the (B, m, C) factors hold each block's (m, C) rows in one
+    # contiguous piece
+    corner = (lead[:, :-1] + tops[:, :-1] - tops[:, 1:]).T[:, :, None]
+    lead_u = lead.T[:, :, None]
     step = max(1, GROWTH_FACTOR_SLOTS // (m * c))
     for start in range(0, c - 1, step):
         stop = min(start + step, c - 1)
-        i, i1 = tops_t[start:stop], tops_t[start + 1 : stop + 1]
-        a, a1 = parts_t[start:stop], parts_t[start + 1 : stop + 1]
-        on = live[start:stop]
-        # |lead_t + i_(u+1) - a_u|: the row exponent of a cover t <= u
-        # (row i_t, columns a_(u+1) .. a_u - 1), the column exponent
-        # a_u - i_(u+1) - lead_t of a cover t > u (column a_t, rows i_u ..
-        # i_(u+1) - 1); each is positive on its side
-        x = lead + np.where(on, i1 - a, dead)
+        x = corner[start:stop] - lead
         np.abs(x, out=x)
-        # lead_t + i_(u+1) - a_(u+1) for t <= u, a_u - i_u - lead_t for t > u
-        row_factor = (np.arange(start, stop)[:, None] >= np.arange(c))[:, None]
-        y = lead + np.where(
-            row_factor, np.where(on, i1 - a1, dead), np.where(on, i - a, dead)
-        )
-        np.abs(y, out=y)
+        y = np.maximum(lead_u[start:stop] - lead, lead - lead_u[start + 1 : stop + 1])
         factors = np.take(drops, x)
         factors /= np.take(drops, y)
         for f in factors:
