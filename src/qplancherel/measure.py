@@ -480,13 +480,14 @@ def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
 
 
 def _growth_weights(
-    rows: np.ndarray, powers: np.ndarray
+    rows: np.ndarray, powers: np.ndarray, drops: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covers and transition weights of a batch of shapes, one per row.
 
     `rows` holds each shape's row lengths, zero-padded, and ends in an
-    all-zero column; powers[k] = q ** k for k up to the largest size
-    plus 3.  Returns the (m, C) block tops (the first row of each block
+    all-zero column; powers[k] = q ** k and drops[k] = 1 - q ** k, with
+    drops[0] = 1, for k up to the largest size plus 3 (`_growth_powers`).
+    Returns the (m, C) block tops (the first row of each block
     of equal parts, then the empty row: the rows the covers add to, in
     `covers_of` order), their counts, and the (m, C) weights, zero past
     each count.
@@ -500,7 +501,8 @@ def _growth_weights(
     i_t (0 for the empty row), lead_t = a_t - i_t, the content of the box
     that cover t adds, strictly decreases in t.  With P_u = a_u - i_(u+1),
     the content of the last box of block u, both cases are one closed form,
-    drops[x] / drops[y] with drops[k] = 1 - q^k and
+    drops[x] / drops[y] with
+
 
         x = |P_u - lead_t|,
         y = max(lead_u - lead_t, lead_t - lead_(u+1)):
@@ -515,8 +517,8 @@ def _growth_weights(
     past the chain's last, u >= count - 1, has P_u = lead_(u+1) =
     -depth - 1, so for a live cover x = y = lead_t + depth + 1 and the
     factor is drops[x] / drops[x] = 1 exactly.  A padded cover, whose
-    weight is 0, may read exponent 0, so drops[0] is set to 1 to keep
-    its factors finite.  Every exponent lies in 0 .. lam_1 + depth + 1
+    weight is 0, may read exponent 0, where drops[0] = 1 keeps its
+    factors finite.  Every exponent lies in 0 .. lam_1 + depth + 1
     <= size + 3, never negative (numpy would wrap it).
 
     The factors of a run of consecutive blocks are formed as one
@@ -543,8 +545,6 @@ def _growth_weights(
     lead[chain, slot] = rows[chain, row] - row
     w = np.zeros((m, c))
     w[chain, slot] = powers[row]
-    drops = 1.0 - powers
-    drops[0] = 1.0
     # P_u and lead_u as (C, m, 1) columns against lead_t's (m, C) rows, so
     # that the (B, m, C) factors hold each block's (m, C) rows in one
     # contiguous piece
@@ -612,10 +612,18 @@ class _GrowthTable(NamedTuple):
     incoherent: dict[int, float]  # shapes failing the check, their fsum totals
 
 
-def _growth_powers(n: int, q0: float) -> np.ndarray:
-    """q0 ** k for k <= n + 2: the weights of shapes of fewer than n boxes
-    read no higher power."""
-    return np.array([q0**k for k in range(n + 3)])
+def _growth_powers(n: int, q0: float) -> tuple[np.ndarray, np.ndarray]:
+    """q0 ** k and 1 - q0 ** k for k <= n + 2, the latter 1 at k = 0: the
+    weights of shapes of fewer than n boxes read no higher power.
+
+    1 - q0 ** k is -expm1(k ln q0), which keeps its relative precision as
+    q0 tends to 1, where 1.0 - q0 ** k cancels: at q0 = 0.99999 the
+    weights out of (1, 1, 1, 1) would miss the 1e-12 coherency.
+    """
+    log_q = math.log(q0)
+    drops = np.array([-math.expm1(k * log_q) for k in range(n + 3)])
+    drops[0] = 1.0
+    return np.array([q0**k for k in range(n + 3)]), drops
 
 
 @cache
@@ -629,7 +637,7 @@ def _growth_table(n: int, q0: float) -> _GrowthTable:
     rows = np.zeros((len(small), n), dtype=np.intp)  # at most n - 1 rows
     for s, lam in enumerate(small):
         rows[s, : len(lam)] = lam
-    tops, count, w = _growth_weights(rows, _growth_powers(n, q0))
+    tops, count, w = _growth_weights(rows, *_growth_powers(n, q0))
     cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
     succ = np.zeros_like(tops)
     for s, lam in enumerate(small):
@@ -687,12 +695,12 @@ def sample_growth_chunk(
     us = rng.random((m, n))
     if 0 < n <= GROWTH_TABLE_MAX_N:
         return _walk_growth_table(us, q0)
-    powers = _growth_powers(n, q0)
+    powers, drops = _growth_powers(n, q0)
     rows = np.zeros((m, n + 1), dtype=np.intp)
     chains = np.arange(m)
     width = 1  # the longest shape's rows, then one all-zero column
     for u in us.T:
-        tops, count, w = _growth_weights(rows[:, :width], powers)
+        tops, count, w = _growth_weights(rows[:, :width], powers, drops)
         cum = np.cumsum(w, axis=1)
         _check_coherency(rows, w, cum[:, -1], q0)
         grown = tops[chains, _cover_index(cum.T, u, count - 1)]

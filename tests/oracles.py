@@ -207,8 +207,14 @@ def transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
     The product runs over the hooks h of lam that the box lengthens: those
     in row i left of it and in its column above it.  Across a block of
     equal rows or equal columns they are consecutive, so each block
-    telescopes to one factor (1 - q^h_min) / (1 - q^(h_max + 1)).
+    telescopes to one factor (1 - q^h_min) / (1 - q^(h_max + 1)).  Each
+    1 - q^k is -expm1(k ln q), which does not cancel as q tends to 1.
     """
+    log_q = math.log(q0)
+
+    def drop(k: int) -> float:
+        return -math.expm1(k * log_q)
+
     # first row of each block of equal parts, then the empty row; covers_of order
     tops = [r for r in range(len(lam)) if r == 0 or lam[r - 1] > lam[r]] + [len(lam)]
     parts = [lam[r] for r in tops[:-1]] + [0]
@@ -217,10 +223,10 @@ def transition_weights(lam: Partition, q0: float) -> tuple[float, ...]:
         w = q0**i
         for u in range(t):  # column a, rows tops[u] .. tops[u + 1] - 1
             d = parts[u] - a + i
-            w *= (1.0 - q0 ** (d - tops[u + 1])) / (1.0 - q0 ** (d - tops[u]))
+            w *= drop(d - tops[u + 1]) / drop(d - tops[u])
         for u in range(t, len(parts) - 1):  # row i, columns parts[u + 1] .. parts[u] - 1
             e = tops[u + 1] - i + a
-            w *= (1.0 - q0 ** (e - parts[u])) / (1.0 - q0 ** (e - parts[u + 1]))
+            w *= drop(e - parts[u]) / drop(e - parts[u + 1])
         out.append(w)
     return tuple(out)
 

@@ -524,6 +524,14 @@ class TestGrowthSampler:
             expected = [conjugate(lam) for lam in expected]
         return expected
 
+    # n = 12 walks the growth table, n = 200 weighs every step
+    @pytest.mark.parametrize("n", [12, 200])
+    @pytest.mark.parametrize("q0", [0.99999, 1 - 1e-7, 1.00001])
+    def test_chunk_equals_step_oracle_near_q_one(self, q0, n):
+        # each 1 - q^k is -expm1(k ln q): as 1.0 - q ** k it cancelled, and
+        # the chains failed the 1e-12 coherency within a few boxes
+        assert sample_growth_chunk(n, q0, 4, 0, 7) == self.step_oracle(n, q0, 7)
+
     @pytest.mark.parametrize("q0", [0.5, 0.99, 2.0])
     def test_gate_chunk_equals_step_oracle(self, q0):
         # the gate's chunk: 1024 chains walk the 19 shapes of fewer than 6 boxes
@@ -531,22 +539,23 @@ class TestGrowthSampler:
 
     @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95])
     def test_batched_weights_are_the_step_weights_bitwise(self, q0, monkeypatch):
-        # every shape of at most 10 boxes and the staircases of up to 20
-        # parts (21 covers) in one batch, so that the small shapes' blocks
-        # are dead or padded in most of the runs of blocks: the same
-        # floats, not only the same draws
+        # every shape of at most 10 boxes and the staircases of up to 31
+        # parts (32 covers, as many as q = 0.99 reaches at n = 1000) in one
+        # batch, so that the small shapes' blocks are dead or padded in
+        # most of the runs of blocks: the same floats, not only the same
+        # draws
         shapes = [lam for n in range(11) for lam in partitions_of(n)]
-        shapes += [tuple(range(k, 0, -1)) for k in range(1, 21)]
-        rows = np.zeros((len(shapes), 21), dtype=np.intp)
+        shapes += [tuple(range(k, 0, -1)) for k in range(1, 32)]
+        rows = np.zeros((len(shapes), 32), dtype=np.intp)
         for s, lam in enumerate(shapes):
             rows[s, : len(lam)] = lam
-        powers = np.array([q0**k for k in range(210 + 4)])  # up to size + 3
+        powers = measure._growth_powers(496 + 1, q0)  # up to size + 3
         # blocks per (B, m, C) factor array: one, a few, and the default
         for step in (1, 3, 7, None):
             if step is not None:
-                monkeypatch.setattr(measure, "GROWTH_FACTOR_SLOTS", step * len(shapes) * 21)
-            tops, count, w = measure._growth_weights(rows, powers)
-            assert w.shape[1] == 21
+                monkeypatch.setattr(measure, "GROWTH_FACTOR_SLOTS", step * len(shapes) * 32)
+            tops, count, w = measure._growth_weights(rows, *powers)
+            assert w.shape[1] == 32
             for s, lam in enumerate(shapes):
                 k = count[s]
                 assert w[s, :k].tolist() == list(transition_weights(lam, q0)), lam
@@ -583,8 +592,8 @@ class TestGrowthSampler:
         # the weights of the shapes in `bad` scaled by 1.1, past the check
         weights = measure._growth_weights
 
-        def inflated(rows, powers):
-            tops, count, w = weights(rows, powers)
+        def inflated(rows, *powers):
+            tops, count, w = weights(rows, *powers)
             for s, row in enumerate(rows.tolist()):
                 if tuple(x for x in row if x) in bad:
                     w[s] *= 1.1
@@ -606,8 +615,8 @@ class TestGrowthSampler:
     def test_coherency_violation_aborts(self, monkeypatch, fresh_growth_tables):
         weights = measure._growth_weights
 
-        def inflated(rows, powers):
-            tops, count, w = weights(rows, powers)
+        def inflated(*args):
+            tops, count, w = weights(*args)
             return tops, count, 1.1 * w
 
         monkeypatch.setattr(measure, "_growth_weights", inflated)
