@@ -171,7 +171,10 @@ def measure_probabilities(n: int, q0: float) -> tuple[tuple[Partition, ...], np.
         s = log_dim(lam) + n_stat(lam) * logq
         for h in hooks(lam):
             # {h}_q = (1-q^h)/(1-q); signs cancel between top and bottom
-            s -= math.log(abs(1.0 - q0**h)) - log1mq
+            try:
+                s -= math.log(abs(1.0 - q0**h)) - log1mq
+            except OverflowError:  # q^h past the floats: |1-q^h| = q^h (1-q^-h)
+                s -= h * logq + math.log1p(-(q0**-h)) - log1mq
         logs[t] = s
     logs -= logs.max()
     probs = np.exp(logs)

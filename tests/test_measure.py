@@ -107,6 +107,16 @@ class TestMeasureValues:
         for lam, p in zip(parts, probs):
             assert p == pytest.approx(float(measure_value(lam).eval_at(qr)), rel=1e-9)
 
+    def test_float_table_where_q_to_the_h_overflows(self):
+        # at q = 1e300 every q^h with h >= 2 overflows; the table is still
+        # the conjugated table at 1/q, which puts its mass on the column
+        parts, probs = measure_probabilities(5, 1e300)
+        assert probs.sum() == pytest.approx(1.0)
+        table = dict(zip(parts, probs))
+        assert table[(1,) * 5] == pytest.approx(1.0)
+        for lam, p in zip(*measure_probabilities(5, 1e-300)):
+            assert table[conjugate(lam)] == pytest.approx(p, rel=1e-9)
+
     @pytest.mark.parametrize("q0", [0.5, 0.1])
     def test_exact_table_reads_a_float_as_its_exact_fraction(self, q0):
         # a float and its equal Fraction are one cache key: call past it
