@@ -191,6 +191,16 @@ def test_clt_rejects_a_gate_that_cannot_test(flag, value, field, capsys):
     assert field in err
 
 
+@pytest.mark.parametrize("sampler, q", [("exact", "1e10"), ("rsk", "1e-10")])
+def test_clt_gate_pooled_into_one_bin_names_only_the_waiver(sampler, q, capsys):
+    # at n = 6 this q puts nearly all mass on one shape: no sampler can pass
+    args = ["clt", "--n", "6", "--q", q, "--count", "100", "--sampler", sampler]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert "dof = 0" in err and "pools into one bin" in err
+    assert "--skip-gate" in err and "another sampler" not in err
+
+
 CLT_CFG = (
     "n = 10\nq = 1/2\ncount = 600\nsampler = exact\n"
     "bootstrap = 0\ngate-draws = 3000\nseed = 9\n# comment\n"
