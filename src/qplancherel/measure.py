@@ -86,13 +86,12 @@ SAMPLE_CHUNK = 1024  # worker-count invariance: streams are chunk-indexed
 RSK_TABLE_SLOTS = 1 << 18
 # Entries of one (B, m, C) array of growth cover factors: B blocks of
 # equal parts, m shapes, C covers.  B is the most blocks that fit, or one
-# (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  Medians
-# of three (q = 1/2) or two (q = 0.99) fresh processes (2-vCPU VM), ms per
-# shape at 2^12 / 2^14 / 2^16 entries: 0.33 / 0.30 / 0.26 for 200 shapes
-# at n = 200, q = 1/2; 1.75 / 1.65 / 2.37 at q = 1/2 and 8.3 / 8.0 / 9.1
-# at q = 0.99 for a 1024-shape chunk at n = 1000.  Larger arrays fall out
-# of the cache; smaller ones pay each call's fixed numpy cost over more
-# runs of blocks.
+# (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  ms per
+# shape at 2^12 / 2^14 / 2^16 entries, medians of three fresh processes
+# (2-vCPU VM): 0.34 / 0.28 / 0.48 for 200 shapes at n = 200, q = 1/2;
+# 1.61 / 1.51 / 3.30 at q = 1/2 and 7.6 / 8.2 / 10.5 at q = 0.99 for a
+# 1024-shape chunk at n = 1000.  Larger arrays fall out of the cache;
+# smaller ones pay each call's fixed numpy cost over more runs of blocks.
 GROWTH_FACTOR_SLOTS = 1 << 14
 # Largest n whose growth chunks walk one cached transition table per
 # (n, q) (`_growth_table`): the table weighs every shape of fewer than n
@@ -490,47 +489,35 @@ def _growth_weights(
     `rows` holds each shape's row lengths, zero-padded, and ends in an
     all-zero column; powers[k] = q ** k and drops[k] = 1 - q ** k, with
     drops[0] = 1, for k up to the largest size plus 3 (`_growth_powers`).
-    Returns the (m, C) block tops (the first row of each block
-    of equal parts, then the empty row: the rows the covers add to, in
-    `covers_of` order), their counts, and the (m, C) weights, zero past
-    each count.
+    Returns the (m, C) block tops (the first row of each block of equal
+    parts, then the empty row: the rows the covers add to, in `covers_of`
+    order), their counts, and the (m, C) weights, zero past each count.
 
     The weight of lam + a box in row i is q^i prod {h}_q / {h+1}_q over
     the hooks h of lam that the box lengthens: those in row i left of it
     and in its column above it.  Across a block u of equal rows or equal
     columns they are consecutive, so the block telescopes to one factor
-    (1 - q^h_min) / (1 - q^(h_max + 1)): a column factor when u < t, a
-    row factor when t <= u, for the cover t.  With a_t the part of top
-    i_t (0 for the empty row), lead_t = a_t - i_t, the content of the box
-    that cover t adds, strictly decreases in t.  With P_u = a_u - i_(u+1),
-    the content of the last box of block u, both cases are one closed form,
-    drops[x] / drops[y] with
+    drops[x] / drops[y].  With a_t the part at top i_t (0 at the empty
+    row), lead_t = a_t - i_t strictly decreases in t; with
+    P_u = a_u - i_(u+1),
 
+        x = |P_u - lead_t|,  y = max(lead_u - lead_t, lead_t - lead_(u+1)),
 
-        x = |P_u - lead_t|,
-        y = max(lead_u - lead_t, lead_t - lead_(u+1)):
-
-    for t <= u, x = lead_t - P_u is the row exponent (row i_t, columns
-    a_(u+1) .. a_u - 1) and y = lead_t - lead_(u+1); for t > u,
-    x = P_u - lead_t is the column exponent (column a_t, rows i_u ..
-    i_(u+1) - 1) and y = lead_u - lead_t.
-
-    Past each chain's count the tops are padded with depth + 1 and lead
-    with -depth - 1, depth the shape's rows plus one.  Then every block u
-    past the chain's last, u >= count - 1, has P_u = lead_(u+1) =
-    -depth - 1, so for a live cover x = y = lead_t + depth + 1 and the
-    factor is drops[x] / drops[x] = 1 exactly.  A padded cover, whose
-    weight is 0, may read exponent 0, where drops[0] = 1 keeps its
-    factors finite.  Every exponent lies in 0 .. lam_1 + depth + 1
-    <= size + 3, never negative (numpy would wrap it).
+    the row factor of a cover t <= u (row i_t, columns a_(u+1) .. a_u - 1)
+    and the column factor of a cover t > u (column a_t, rows i_u ..
+    i_(u+1) - 1).  Past each count the tops are padded with depth + 1 and
+    lead with -depth - 1, depth the shape's rows plus one.  So every block
+    u >= count - 1 has P_u = lead_(u+1) = -depth - 1, and a live cover's
+    factor there is drops[x] / drops[x] = 1 exactly.  A padded cover may
+    read drops[0], its weight staying 0.  Every exponent lies in 0 ..
+    size + 3, never negative (numpy would wrap it).
 
     The factors of a run of consecutive blocks are formed as one
-    (B, m, C) array, by one gather and one divide each for the
-    numerators and the denominators, and each weight is multiplied by
-    its factor of block u in order of u, so every weight is the product
-    of the same floats in the same order as in the shape-by-shape loop.
-    B keeps that array within GROWTH_FACTOR_SLOTS entries, or at one
-    block.
+    (B, m, C) array, by one gather and one divide each for the numerators
+    and the denominators, and each weight is multiplied by its factor of
+    block u in order of u, so every weight is the product of the same
+    floats in the same order as in the shape-by-shape loop.  B keeps that
+    array within GROWTH_FACTOR_SLOTS entries, or at one block.
     """
     m, width = rows.shape
     is_top = np.empty((m, width), dtype=bool)
@@ -548,9 +535,8 @@ def _growth_weights(
     lead[chain, slot] = rows[chain, row] - row
     w = np.zeros((m, c))
     w[chain, slot] = powers[row]
-    # P_u and lead_u as (C, m, 1) columns against lead_t's (m, C) rows, so
-    # that the (B, m, C) factors hold each block's (m, C) rows in one
-    # contiguous piece
+    # P_u and lead_u as (C, m, 1) columns against lead_t's (m, C) rows: the
+    # (B, m, C) factors hold each block's (m, C) rows in one piece
     corner = (lead[:, :-1] + tops[:, :-1] - tops[:, 1:]).T[:, :, None]
     lead_u = lead.T[:, :, None]
     step = max(1, GROWTH_FACTOR_SLOTS // (m * c))
@@ -589,13 +575,6 @@ def _coherency_error(lam: Partition, total: float, q0: float) -> GrowthCoherency
     )
 
 
-def _check_coherency(rows: np.ndarray, w: np.ndarray, sums: np.ndarray, q0: float) -> None:
-    """Raise GrowthCoherencyError for the first shape, one per row of
-    `rows`, whose weights `_incoherent` finds not to sum to 1."""
-    for s, total in _incoherent(w, sums).items():
-        raise _coherency_error(tuple(x for x in rows[s].tolist() if x), total, q0)
-
-
 def _cover_index(cum: np.ndarray, u: np.ndarray, last: np.ndarray) -> np.ndarray:
     """bisect_right of each uniform of u in its column of the (C, m)
     running sums: the number of covers whose running sum is <= u, clamped
@@ -616,13 +595,9 @@ class _GrowthTable(NamedTuple):
 
 
 def _growth_powers(n: int, q0: float) -> tuple[np.ndarray, np.ndarray]:
-    """q0 ** k and 1 - q0 ** k for k <= n + 2, the latter 1 at k = 0: the
-    weights of shapes of fewer than n boxes read no higher power.
-
-    1 - q0 ** k is -expm1(k ln q0), which keeps its relative precision as
-    q0 tends to 1, where 1.0 - q0 ** k cancels: at q0 = 0.99999 the
-    weights out of (1, 1, 1, 1) would miss the 1e-12 coherency.
-    """
+    """q0 ** k and 1 - q0 ** k, as -expm1(k ln q0) and 1 at k = 0, for
+    k <= n + 2, the highest power the weights of shapes of fewer than n
+    boxes read.  1.0 - q0 ** k would cancel near q0 = 1."""
     log_q = math.log(q0)
     drops = np.array([-math.expm1(k * log_q) for k in range(n + 3)])
     drops[0] = 1.0
@@ -705,7 +680,8 @@ def sample_growth_chunk(
     for u in us.T:
         tops, count, w = _growth_weights(rows[:, :width], powers, drops)
         cum = np.cumsum(w, axis=1)
-        _check_coherency(rows, w, cum[:, -1], q0)
+        for s, total in _incoherent(w, cum[:, -1]).items():
+            raise _coherency_error(tuple(x for x in rows[s].tolist() if x), total, q0)
         grown = tops[chains, _cover_index(cum.T, u, count - 1)]
         rows[chains, grown] += 1
         width = max(width, int(grown.max()) + 2)

@@ -457,18 +457,17 @@ def run_clt(config: RunConfig) -> CltReport:
             config.seed,
         )
         if not gate.passed:
-            remedy = (
-                f"with {gate.gof.draws} draws the measure at q = {config.q} pools "
-                "into one bin, which no sampler passes; only skip_gate "
-                "(--skip-gate) waives the gate"
-                if gate.gof.dof == 0
-                else "rerun with another sampler (exact enumeration always "
-                "available for small n) or waive with skip_gate"
-            )
             raise SamplerGateError(
                 f"sampler {config.sampler!r} failed the goodness-of-fit gate "
                 f"(p = {gate.gof.p_value:.2e}, dof = {gate.gof.dof} at n = {gate.n}); "
-                + remedy
+                + (
+                    "rerun with another sampler (exact enumeration always "
+                    "available for small n) or waive with skip_gate"
+                    if gate.gof.dof
+                    else f"with {gate.gof.draws} draws the measure at q = {config.q} "
+                    "pools into one bin, which no sampler passes; only skip_gate "
+                    "(--skip-gate) waives the gate"
+                )
             )
 
     shapes = sample_partitions(

@@ -661,10 +661,7 @@ class TestGrowthSampler:
         sums = np.cumsum(w, axis=1)[:, -1]
         assert abs(sums[0] - 1) > 1e-12 and abs(math.fsum(passes) - 1) <= 1e-12
         assert abs(sums[1] - 1) <= 1e-12 and abs(math.fsum(fails) - 1) > 1e-12
-        rows = np.zeros((2, 1), dtype=np.intp)
-        measure._check_coherency(rows[:1], w[:1], sums[:1], 0.5)
-        with pytest.raises(GrowthCoherencyError, match="sum to"):
-            measure._check_coherency(rows, w, sums, 0.5)
+        assert measure._incoherent(w, sums) == {1: math.fsum(fails)}
 
     @pytest.mark.parametrize("q0", [0.5, 0.9, 2.0])
     def test_coherent_at_n_1000(self, q0):
