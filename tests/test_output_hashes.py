@@ -111,3 +111,18 @@ IDCUM_CALLS = [
 def test_identity_cumulant_bytes(capsys):
     digest = "99bb832015e41a4e84569575517e49204fe21769eb6134fbbb39df707eede19b"
     assert sweep_digest(IDCUM_CALLS, capsys) == digest
+
+
+# the growth step loop past the cached table (n > 14), near q = 0 and 1 and
+# through the duality at q = 2
+GROWTH_CALLS = [
+    ["sample", "--n", str(n), "--q", q, "--method", "growth", "--count", "200",
+     "--seed", "7"]
+    for n in (15, 16, 50, 200)
+    for q in ("0.05", "1/2", "0.9", "0.99", "2")
+]
+
+
+def test_growth_sample_bytes(capsys):
+    digest = "3f9af02d1a63f2dec4bc80432058f20358f7f991fbbdfe750f62ba6a36f1f2e7"
+    assert sweep_digest(GROWTH_CALLS, capsys) == digest
