@@ -482,13 +482,14 @@ def growth_transitions_symbolic(lam: Partition) -> dict[Partition, QRat]:
 
 
 def _growth_weights(
-    rows: np.ndarray, powers: np.ndarray, drops: np.ndarray
+    rows: np.ndarray, powers: np.ndarray, quot: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Covers and transition weights of a batch of shapes, one per row.
 
     `rows` holds each shape's row lengths, zero-padded, and ends in an
-    all-zero column; powers[k] = q ** k and drops[k] = 1 - q ** k, with
-    drops[0] = 1, for k up to the largest size plus 3 (`_growth_powers`).
+    all-zero column; powers[k] = q ** k, and quot[x, y] = drops[x] /
+    drops[y] with drops[k] = 1 - q ** k and drops[0] = 1, for x, y below
+    K = len(quot), K at least the largest size plus 2 (`_growth_powers`).
     Returns the (m, C) block tops (the first row of each block of equal
     parts, then the empty row: the rows the covers add to, in `covers_of`
     order), their counts, and the (m, C) weights, zero past each count.
@@ -497,59 +498,72 @@ def _growth_weights(
     the hooks h of lam that the box lengthens: those in row i left of it
     and in its column above it.  Across a block u of equal rows or equal
     columns they are consecutive, so the block telescopes to one factor
-    drops[x] / drops[y].  With a_t the part at top i_t (0 at the empty
-    row), lead_t = a_t - i_t strictly decreases in t; with
-    P_u = a_u - i_(u+1),
+    quot[x, y].  With a_t the part at top i_t (0 at the empty row),
+    lead_t = a_t - i_t strictly decreases in t, and with
+    P_u = a_u - i_(u+1) the factor of block u on cover t has
 
-        x = |P_u - lead_t|,  y = max(lead_u - lead_t, lead_t - lead_(u+1)),
+        t <= u:  x = lead_t - P_u,  y = lead_t - lead_(u+1)   (row i_t)
+        t > u:   x = P_u - lead_t,  y = lead_u - lead_t       (column a_t)
 
-    the row factor of a cover t <= u (row i_t, columns a_(u+1) .. a_u - 1)
-    and the column factor of a cover t > u (column a_t, rows i_u ..
-    i_(u+1) - 1).  Past each count the tops are padded with depth + 1 and
-    lead with -depth - 1, depth the shape's rows plus one.  So every block
-    u >= count - 1 has P_u = lead_(u+1) = -depth - 1, and a live cover's
-    factor there is drops[x] / drops[x] = 1 exactly.  A padded cover may
-    read drops[0], its weight staying 0.  Every exponent lies in 0 ..
-    size + 3, never negative (numpy would wrap it).
+    both positive: the row factor over columns a_(u+1) .. a_u - 1 and the
+    column factor over rows i_u .. i_(u+1) - 1.  So its flat index x K + y
+    is (K + 1) lead_t - (K P_u + lead_(u+1)) on the upper triangle
+    t <= u and (K P_u + lead_u) - (K + 1) lead_t on the lower.  Past each
+    count the tops are padded with Z = K - 1 - a_0 and the parts with 0,
+    so lead with -Z, and every block u >= count - 1 has
+    P_u = lead_(u+1) = -Z: a live cover's factor there is quot[x, x] = 1
+    exactly.  A padded cover reads quot[0, 0] = 1 or another finite
+    quotient, its weight staying 0.  Every x and y lies in 0 .. K - 1, so
+    no index is negative (np.take would wrap it).
 
-    The factors of a run of consecutive blocks are formed as one
-    (B, m, C) array, by one gather and one divide each for the numerators
-    and the denominators, and each weight is multiplied by its factor of
-    block u in order of u, so every weight is the product of the same
-    floats in the same order as in the shape-by-shape loop.  B keeps that
-    array within GROWTH_FACTOR_SLOTS entries, or at one block.
+    The factors of a run of consecutive blocks are one gather from quot
+    into slabs 1 .. B of a (B + 1, C, m) array whose slab 0 holds the
+    weights so far, q^(i_t) at the first run, and one product along the
+    slabs, which numpy forms in slab order.  So every weight is the
+    product of the same floats in the same order as in the shape-by-shape
+    loop.  B keeps that array within GROWTH_FACTOR_SLOTS entries, or at
+    one block.
     """
     m, width = rows.shape
-    is_top = np.empty((m, width), dtype=bool)
-    is_top[:, 0] = True
-    np.greater(rows[:, :-1], rows[:, 1:], out=is_top[:, 1:])
-    count = np.count_nonzero(is_top, axis=1)
+    k = len(quot)
+    # covers and blocks along axis 0, chains along axis 1, so that every
+    # broadcast pass runs along the m chains
+    rows = rows.T
+    is_top = np.empty((width, m), dtype=bool)
+    is_top[0] = True
+    np.greater(rows[:-1], rows[1:], out=is_top[1:])
+    slot = np.cumsum(is_top, axis=0)
+    count = slot[-1]
     c = int(count.max())
-    chain, row = np.nonzero(is_top)
-    slot = np.arange(chain.size) - np.repeat(np.cumsum(count) - count, count)
-    # the last top is the empty row, so depth = rows of the shape + 1
-    depth = row[np.cumsum(count) - 1, None] + 1
-    tops = np.repeat(depth + 1, c, axis=1)
-    tops[chain, slot] = row
-    lead = np.repeat(-depth - 1, c, axis=1)
-    lead[chain, slot] = rows[chain, row] - row
-    w = np.zeros((m, c))
-    w[chain, slot] = powers[row]
-    # P_u and lead_u as (C, m, 1) columns against lead_t's (m, C) rows: the
-    # (B, m, C) factors hold each block's (m, C) rows in one piece
-    corner = (lead[:, :-1] + tops[:, :-1] - tops[:, 1:]).T[:, :, None]
-    lead_u = lead.T[:, :, None]
+    # each top's flat index slot * m + chain in the (C, m) arrays
+    flat = (m * slot + np.arange(-m, 0))[is_top]
+    row = np.nonzero(is_top)[0]
+    tops = np.repeat(k - 1 - rows[:1], c, axis=0)
+    np.put(tops, flat, row)
+    parts = np.zeros((c, m), dtype=rows.dtype)
+    np.put(parts, flat, rows[is_top])
     step = max(1, GROWTH_FACTOR_SLOTS // (m * c))
+    slabs = np.zeros((min(step, c - 1) + 1, c, m))
+    np.put(slabs[0], flat, powers[row])
+    w = slabs[0]
+    lead = parts - tops
+    # K P_u and lead_u as (C - 1, 1, m) against the (C, m) lead_t
+    kp = (k * (parts[:-1] - tops[1:]))[:, None]
+    upper = kp + lead[1:, None]
+    lower = kp + lead[:-1, None]
+    lead *= k + 1
+    index = np.empty(slabs[1:].shape, dtype=np.intp)
     for start in range(0, c - 1, step):
         stop = min(start + step, c - 1)
-        x = corner[start:stop] - lead
-        np.abs(x, out=x)
-        y = np.maximum(lead_u[start:stop] - lead, lead - lead_u[start + 1 : stop + 1])
-        factors = np.take(drops, x)
-        factors /= np.take(drops, y)
-        for f in factors:
-            w *= f
-    return tops, count, w
+        b = stop - start
+        for j, u in enumerate(range(start, stop)):
+            np.subtract(lead[: u + 1], upper[u], out=index[j, : u + 1])
+            np.subtract(lower[u], lead[u + 1 :], out=index[j, u + 1 :])
+        if start:
+            slabs[0] = w
+        np.take(quot, index[:b], out=slabs[1 : b + 1])
+        w = np.multiply.reduce(slabs[: b + 1], axis=0)
+    return tops.T, count, w.T
 
 
 def _incoherent(w: np.ndarray, sums: np.ndarray) -> dict[int, float]:
@@ -591,17 +605,20 @@ class _GrowthTable(NamedTuple):
     cum: np.ndarray  # (C, K) running sums of the weights, one column a shape
     last: np.ndarray  # (K,) index of the last cover
     succ: np.ndarray  # (K, C) index in `shapes` of each cover
+    failing: np.ndarray  # (len(shapes),) True at the shapes failing the check
     incoherent: dict[int, float]  # shapes failing the check, their fsum totals
 
 
 def _growth_powers(n: int, q0: float) -> tuple[np.ndarray, np.ndarray]:
-    """q0 ** k and 1 - q0 ** k, as -expm1(k ln q0) and 1 at k = 0, for
-    k <= n + 2, the highest power the weights of shapes of fewer than n
-    boxes read.  1.0 - q0 ** k would cancel near q0 = 1."""
+    """q0 ** k for k <= n + 2, the highest power the weights of shapes of
+    fewer than n boxes read, and the (n + 3, n + 3) quotients
+    quot[x, y] = drops[x] / drops[y] of their drops[k] = 1 - q0 ** k, as
+    -expm1(k ln q0) and 1 at k = 0.  1.0 - q0 ** k would cancel near
+    q0 = 1."""
     log_q = math.log(q0)
     drops = np.array([-math.expm1(k * log_q) for k in range(n + 3)])
     drops[0] = 1.0
-    return np.array([q0**k for k in range(n + 3)]), drops
+    return np.array([q0**k for k in range(n + 3)]), drops[:, None] / drops
 
 
 @cache
@@ -616,14 +633,15 @@ def _growth_table(n: int, q0: float) -> _GrowthTable:
     for s, lam in enumerate(small):
         rows[s, : len(lam)] = lam
     tops, count, w = _growth_weights(rows, *_growth_powers(n, q0))
-    cum = np.cumsum(w, axis=1)  # sequential, as itertools.accumulate
-    succ = np.zeros_like(tops)
+    cum = np.cumsum(w.T, axis=0)  # sequential, as itertools.accumulate
+    succ = np.zeros(tops.shape, dtype=np.intp)
     for s, lam in enumerate(small):
         succ[s, : count[s]] = [index[big] for big in covers_of(lam)]
-    table = _GrowthTable(
-        shapes, np.ascontiguousarray(cum.T), count - 1, succ, _incoherent(w, cum[:, -1])
-    )
-    for a in table[1:4]:  # every chunk at (n, q0) reads the same arrays
+    incoherent = _incoherent(w, cum[-1])
+    failing = np.zeros(len(shapes), dtype=bool)
+    failing[list(incoherent)] = True
+    table = _GrowthTable(shapes, cum, count - 1, succ, failing, incoherent)
+    for a in table[1:5]:  # every chunk at (n, q0) reads the same arrays
         a.flags.writeable = False
     return table
 
@@ -633,11 +651,9 @@ def _walk_growth_table(us: np.ndarray, q0: float) -> list[Partition]:
     column of the (m, n) uniforms `us`; the step fails on the first chain
     that stands on an incoherent shape."""
     table = _growth_table(us.shape[1], q0)
-    bad = np.zeros(len(table.shapes), dtype=bool)
-    bad[list(table.incoherent)] = True
     state = np.zeros(len(us), dtype=np.intp)
     for u in us.T:
-        if table.incoherent and (hit := np.flatnonzero(bad[state])).size:
+        if table.incoherent and (hit := np.flatnonzero(table.failing[state])).size:
             s = int(state[hit[0]])
             raise _coherency_error(table.shapes[s], table.incoherent[s], q0)
         pick = _cover_index(np.take(table.cum, state, axis=1), u, table.last[state])
@@ -673,19 +689,19 @@ def sample_growth_chunk(
     us = rng.random((m, n))
     if 0 < n <= GROWTH_TABLE_MAX_N:
         return _walk_growth_table(us, q0)
-    powers, drops = _growth_powers(n, q0)
-    rows = np.zeros((m, n + 1), dtype=np.intp)
+    powers, quot = _growth_powers(n, q0)
+    rows = np.zeros((n + 1, m), dtype=np.intp)  # one column a chain
     chains = np.arange(m)
-    width = 1  # the longest shape's rows, then one all-zero column
+    width = 1  # the longest shape's rows, then one all-zero row
     for u in us.T:
-        tops, count, w = _growth_weights(rows[:, :width], powers, drops)
-        cum = np.cumsum(w, axis=1)
-        for s, total in _incoherent(w, cum[:, -1]).items():
-            raise _coherency_error(tuple(x for x in rows[s].tolist() if x), total, q0)
-        grown = tops[chains, _cover_index(cum.T, u, count - 1)]
-        rows[chains, grown] += 1
+        tops, count, w = _growth_weights(rows[:width].T, powers, quot)
+        cum = np.cumsum(w.T, axis=0)
+        for s, total in _incoherent(w, cum[-1]).items():
+            raise _coherency_error(tuple(x for x in rows[:, s].tolist() if x), total, q0)
+        grown = np.take(tops.T, m * _cover_index(cum, u, count - 1) + chains)
+        rows.ravel()[m * grown + chains] += 1
         width = max(width, int(grown.max()) + 2)
-    return _partitions(rows[:, : width - 1])
+    return _partitions(rows[: width - 1].T)
 
 
 SAMPLER_CHUNK_FNS = {
