@@ -7,7 +7,7 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qplancherel import measure
 from qplancherel.hecke import q_char_normalized, sigma_q_in_sigma
@@ -573,6 +573,47 @@ class TestGrowthSampler:
                 added = [added_row(lam, big) - 1 for big in covers_of(lam)]
                 assert tops[s, :k].tolist() == added, lam
             monkeypatch.undo()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shapes=st.lists(
+            st.one_of(
+                st.lists(st.integers(1, 12), max_size=12).map(
+                    lambda parts: tuple(sorted(parts, reverse=True))
+                ),
+                # up to 32 covers and size 496: the largest exponents
+                st.integers(1, 31).map(lambda k: tuple(range(k, 0, -1))),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        q0=st.sampled_from([0.05, 0.5, 0.95, 1 - 1e-7]),
+        blocks=st.sampled_from([1, 2, 5, 40]),
+        by_column=st.booleans(),
+    )
+    def test_mixed_batch_weights_are_the_step_weights_bitwise(
+        self, shapes, q0, blocks, by_column
+    ):
+        # shapes of different cover counts in one batch, so that each
+        # shape's dead and padded blocks fall in runs of live blocks of
+        # the others; n is the least the largest shape allows
+        m, c = len(shapes), max(len(set(lam)) + 1 for lam in shapes)
+        rows = np.zeros((m, max(map(len, shapes)) + 1), dtype=np.intp)
+        for s, lam in enumerate(shapes):
+            rows[s, : len(lam)] = lam
+        if by_column:  # the step loop's layout: one column a chain
+            rows = np.ascontiguousarray(rows.T).T
+        powers = measure._growth_powers(max(map(sum, shapes)) + 1, q0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measure, "GROWTH_FACTOR_SLOTS", blocks * m * c)
+            tops, count, w = measure._growth_weights(rows, *powers)
+        assert w.shape == tops.shape == (m, c)
+        for s, lam in enumerate(shapes):
+            k = count[s]
+            assert w[s, :k].tolist() == list(transition_weights(lam, q0)), lam
+            assert not w[s, k:].any(), lam
+            added = [added_row(lam, big) - 1 for big in covers_of(lam)]
+            assert tops[s, :k].tolist() == added, lam
 
     @pytest.mark.parametrize("q0", [0.05, 0.5, 0.95, 2.0])
     def test_growth_table_is_the_step_route_bitwise(self, q0):
