@@ -537,7 +537,7 @@ def _growth_weights(
     c = int(count.max())
     # each top's flat index slot * m + chain in the (C, m) arrays
     flat = (m * slot + np.arange(-m, 0))[is_top]
-    row = np.nonzero(is_top)[0]
+    row = np.broadcast_to(np.arange(width)[:, None], is_top.shape)[is_top]
     tops = np.repeat(k - 1 - rows[:1], c, axis=0)
     np.put(tops, flat, row)
     parts = np.zeros((c, m), dtype=rows.dtype)
