@@ -20,15 +20,16 @@ operations on one sorted table of keys ((row, word) << B) | position,
 B = n.bit_length(), held in int32 whenever they fit.  Row r of a word
 gets min(n // (r + 1), N_r) slots, N_r its letters of rank >= r among
 its distinct letters.  The growth sampler advances all chains of a
-chunk together, one box per step, and forms the cover factors of a run
-of blocks of equal parts in a few numpy passes.  For n <= 14 it weighs
-every shape of fewer than n boxes once per (n, q), into one cached
-transition table, and each chain walks the table as an index: a step
-gathers the chains' running sums, bisects its uniforms in them and moves
-each chain to its cover's index.  Larger n weighs every chain's shape
-afresh at each step.  Its draws are those of one chain at a time, since
-every weight, running sum and comparison is the same IEEE operation on
-the same floats in the same order.
+chunk together, one box per step: the cover factors of a run of blocks
+of equal parts are one gather from a table of the quotients
+(1 - q^x) / (1 - q^y), multiplied into the weights in block order by one
+product.  For n <= 14 it weighs every shape of fewer than n boxes once
+per (n, q), into one cached transition table, and each chain walks the
+table as an index: a step gathers the chains' running sums, bisects its
+uniforms in them and moves each chain to its cover's index.  Larger n
+weighs every chain's shape afresh at each step.  Its draws are those of
+one chain at a time, since every weight, running sum and comparison is
+the same IEEE operation on the same floats in the same order.
 Each sampler draws a single chunk of shapes from that chunk's own
 generator stream; `montecarlo.sample_partitions` is the one driver that
 fans the chunks out and merges them.  RSK and growth draw at q < 1 only,
@@ -84,14 +85,15 @@ SAMPLE_CHUNK = 1024  # worker-count invariance: streams are chunk-indexed
 # 1.41 s at q = 0.99.  A larger table costs each search more levels; a
 # smaller one pays each step's fixed numpy cost over more sub-batches.
 RSK_TABLE_SLOTS = 1 << 18
-# Entries of one (B, m, C) array of growth cover factors: B blocks of
-# equal parts, m shapes, C covers.  B is the most blocks that fit, or one
+# Entries of one (B, C, m) array of growth cover factors: B blocks of
+# equal parts, C covers, m shapes.  B is the most blocks that fit, or one
 # (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  ms per
 # shape at 2^12 / 2^14 / 2^16 entries, medians of three fresh processes
-# (2-vCPU VM): 0.34 / 0.28 / 0.48 for 200 shapes at n = 200, q = 1/2;
-# 1.61 / 1.51 / 3.30 at q = 1/2 and 7.6 / 8.2 / 10.5 at q = 0.99 for a
-# 1024-shape chunk at n = 1000.  Larger arrays fall out of the cache;
-# smaller ones pay each call's fixed numpy cost over more runs of blocks.
+# (2-vCPU VM): 0.34 / 0.21 / 0.30 for 200 shapes at n = 200, q = 1/2;
+# 1.20 / 1.34 / 1.08 at q = 1/2 and 6.3 / 5.9 / 5.7 at q = 0.99 for a
+# 1024-shape chunk at n = 1000, where the spread between processes is as
+# wide as these gaps.  Larger arrays fall out of the cache; smaller ones
+# pay each call's fixed numpy cost over more runs of blocks.
 GROWTH_FACTOR_SLOTS = 1 << 14
 # Largest n whose growth chunks walk one cached transition table per
 # (n, q) (`_growth_table`): the table weighs every shape of fewer than n
@@ -552,13 +554,13 @@ def _growth_weights(
     upper = kp + lead[1:, None]
     lower = kp + lead[:-1, None]
     lead *= k + 1
+    upper_triangle = (np.arange(c) <= np.arange(c - 1)[:, None])[:, :, None]
     index = np.empty(slabs[1:].shape, dtype=np.intp)
     for start in range(0, c - 1, step):
         stop = min(start + step, c - 1)
         b = stop - start
-        for j, u in enumerate(range(start, stop)):
-            np.subtract(lead[: u + 1], upper[u], out=index[j, : u + 1])
-            np.subtract(lower[u], lead[u + 1 :], out=index[j, u + 1 :])
+        np.subtract(lower[start:stop], lead, out=index[:b])
+        np.subtract(lead, upper[start:stop], out=index[:b], where=upper_triangle[start:stop])
         if start:
             slabs[0] = w
         np.take(quot, index[:b], out=slabs[1 : b + 1])
@@ -614,7 +616,8 @@ def _growth_powers(n: int, q0: float) -> tuple[np.ndarray, np.ndarray]:
     fewer than n boxes read, and the (n + 3, n + 3) quotients
     quot[x, y] = drops[x] / drops[y] of their drops[k] = 1 - q0 ** k, as
     -expm1(k ln q0) and 1 at k = 0.  1.0 - q0 ** k would cancel near
-    q0 = 1."""
+    q0 = 1.  The table holds (n + 3)^2 floats: 0.33 MB at n = 200, 8 MB
+    at n = 1000, 800 MB at n = 10^4."""
     log_q = math.log(q0)
     drops = np.array([-math.expm1(k * log_q) for k in range(n + 3)])
     drops[0] = 1.0
