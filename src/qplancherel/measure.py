@@ -89,11 +89,10 @@ RSK_TABLE_SLOTS = 1 << 18
 # equal parts, C covers, m shapes.  B is the most blocks that fit, or one
 # (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  ms per
 # shape at 2^12 / 2^14 / 2^16 entries, medians of three fresh processes
-# (2-vCPU VM): 0.34 / 0.21 / 0.30 for 200 shapes at n = 200, q = 1/2;
-# 1.20 / 1.34 / 1.08 at q = 1/2 and 6.3 / 5.9 / 5.7 at q = 0.99 for a
-# 1024-shape chunk at n = 1000, where the spread between processes is as
-# wide as these gaps.  Larger arrays fall out of the cache; smaller ones
-# pay each call's fixed numpy cost over more runs of blocks.
+# (2-vCPU VM): 0.22 / 0.21 / 0.28 for 200 shapes at n = 200, q = 1/2;
+# 1.42 / 1.20 / 1.44 at q = 1/2 and 7.0 / 6.0 / 7.4 at q = 0.99 for a
+# 1024-shape chunk at n = 1000.  Larger arrays fall out of the cache;
+# smaller ones pay each call's fixed numpy cost over more runs of blocks.
 GROWTH_FACTOR_SLOTS = 1 << 14
 # Largest n whose growth chunks walk one cached transition table per
 # (n, q) (`_growth_table`): the table weighs every shape of fewer than n
@@ -549,7 +548,8 @@ def _growth_weights(
     np.put(slabs[0], flat, powers[row])
     w = slabs[0]
     lead = parts - tops
-    # K P_u and lead_u as (C - 1, 1, m) against the (C, m) lead_t
+    # each block's K P_u + lead_(u+1) and K P_u + lead_u, as (C - 1, 1, m)
+    # against the (C, m) (K + 1) lead_t
     kp = (k * (parts[:-1] - tops[1:]))[:, None]
     upper = kp + lead[1:, None]
     lower = kp + lead[:-1, None]
@@ -559,6 +559,7 @@ def _growth_weights(
     for start in range(0, c - 1, step):
         stop = min(start + step, c - 1)
         b = stop - start
+        # the lower triangle's index everywhere, then the upper's at t <= u
         np.subtract(lower[start:stop], lead, out=index[:b])
         np.subtract(lead, upper[start:stop], out=index[:b], where=upper_triangle[start:stop])
         if start:
