@@ -488,9 +488,8 @@ def _growth_weights(
     """Covers and transition weights of a batch of shapes, one per row.
 
     `rows` holds each shape's row lengths, zero-padded, and ends in an
-    all-zero column; powers[k] = q ** k, and quot[x, y] = drops[x] /
-    drops[y] with drops[k] = 1 - q ** k and drops[0] = 1, for x, y below
-    K = len(quot), K at least the largest size plus 2 (`_growth_powers`).
+    all-zero column; (powers, quot) = `_growth_powers(n, q)` for an n at
+    least a_0 + l of every shape, a_0 its first part and l its rows.
     Returns the (m, C) block tops (the first row of each block of equal
     parts, then the empty row: the rows the covers add to, in `covers_of`
     order), their counts, and the (m, C) weights, zero past each count.
@@ -499,23 +498,25 @@ def _growth_weights(
     the hooks h of lam that the box lengthens: those in row i left of it
     and in its column above it.  Across a block u of equal rows or equal
     columns they are consecutive, so the block telescopes to one factor
-    quot[x, y].  With a_t the part at top i_t (0 at the empty row),
-    lead_t = a_t - i_t strictly decreases in t, and with
-    P_u = a_u - i_(u+1) the factor of block u on cover t has
+    drops[x] / drops[x + d], drops[k] = 1 - q^k.  With a_t the part at
+    top i_t (0 at the empty row), lead_t = a_t - i_t strictly decreases
+    in t, and with P_u = a_u - i_(u+1) the factor of block u on cover t
+    has
 
-        t <= u:  x = lead_t - P_u,  y = lead_t - lead_(u+1)   (row i_t)
-        t > u:   x = P_u - lead_t,  y = lead_u - lead_t       (column a_t)
+        t <= u:  x = lead_t - P_u,  d = a_u - a_(u+1)    (row i_t)
+        t > u:   x = P_u - lead_t,  d = i_(u+1) - i_u    (column a_t)
 
-    both positive: the row factor over columns a_(u+1) .. a_u - 1 and the
-    column factor over rows i_u .. i_(u+1) - 1.  So its flat index x K + y
-    is (K + 1) lead_t - (K P_u + lead_(u+1)) on the upper triangle
-    t <= u and (K P_u + lead_u) - (K + 1) lead_t on the lower.  Past each
-    count the tops are padded with Z = K - 1 - a_0 and the parts with 0,
-    so lead with -Z, and every block u >= count - 1 has
-    P_u = lead_(u+1) = -Z: a live cover's factor there is quot[x, x] = 1
-    exactly.  A padded cover reads quot[0, 0] = 1 or another finite
-    quotient, its weight staying 0.  Every x and y lies in 0 .. K - 1, so
-    no index is negative (np.take would wrap it).
+    the row factor over columns a_(u+1) .. a_u - 1 and the column factor
+    over rows i_u .. i_(u+1) - 1, with x >= 1 and x + d <= n.  It is read
+    from the (K, K) table quot[x, d] at the flat index K x + min(d, K - 1):
+    K lead_t - (K P_u - d) on the upper triangle t <= u and
+    (K P_u + d) - K lead_t on the lower, clipped to the table.  Every drop
+    from k = K - 1 on is 1.0, so where x or d reaches past the table the
+    clipped read is the same quotient.  Past each count the tops are
+    padded with the rows' width, below every row, and the parts with 0,
+    so every block u >= count - 1 has d = 0 on the upper triangle: a live
+    cover's factor there is quot[x, 0] = 1 exactly.  A padded cover reads
+    some finite quotient, its weight staying 0; no flat index is negative.
 
     The factors of a run of consecutive blocks are one gather from quot
     into slabs 1 .. B of a (B + 1, C, m) array whose slab 0 holds the
@@ -539,7 +540,7 @@ def _growth_weights(
     # each top's flat index slot * m + chain in the (C, m) arrays
     flat = (m * slot + np.arange(-m, 0))[is_top]
     row = np.broadcast_to(np.arange(width)[:, None], is_top.shape)[is_top]
-    tops = np.repeat(k - 1 - rows[:1], c, axis=0)
+    tops = np.full((c, m), width)
     np.put(tops, flat, row)
     parts = np.zeros((c, m), dtype=rows.dtype)
     np.put(parts, flat, rows[is_top])
@@ -547,13 +548,12 @@ def _growth_weights(
     slabs = np.zeros((min(step, c - 1) + 1, c, m))
     np.put(slabs[0], flat, powers[row])
     w = slabs[0]
-    lead = parts - tops
-    # each block's K P_u + lead_(u+1) and K P_u + lead_u, as (C - 1, 1, m)
-    # against the (C, m) (K + 1) lead_t
-    kp = (k * (parts[:-1] - tops[1:]))[:, None]
-    upper = kp + lead[1:, None]
-    lower = kp + lead[:-1, None]
-    lead *= k + 1
+    # each block's K P_u - d and K P_u + d, as (C - 1, 1, m) against the
+    # (C, m) K lead_t
+    kp = k * (parts[:-1] - tops[1:])
+    upper = (kp - np.minimum(parts[:-1] - parts[1:], k - 1))[:, None]
+    lower = (kp + np.minimum(tops[1:] - tops[:-1], k - 1))[:, None]
+    lead = k * (parts - tops)
     upper_triangle = (np.arange(c) <= np.arange(c - 1)[:, None])[:, :, None]
     index = np.empty(slabs[1:].shape, dtype=np.intp)
     for start in range(0, c - 1, step):
@@ -564,7 +564,7 @@ def _growth_weights(
         np.subtract(lead, upper[start:stop], out=index[:b], where=upper_triangle[start:stop])
         if start:
             slabs[0] = w
-        np.take(quot, index[:b], out=slabs[1 : b + 1])
+        np.take(quot, index[:b], out=slabs[1 : b + 1], mode="clip")
         w = np.multiply.reduce(slabs[: b + 1], axis=0)
     return tops.T, count, w.T
 
@@ -608,21 +608,24 @@ class _GrowthTable(NamedTuple):
     cum: np.ndarray  # (C, K) running sums of the weights, one column a shape
     last: np.ndarray  # (K,) index of the last cover
     succ: np.ndarray  # (K, C) index in `shapes` of each cover
-    failing: np.ndarray  # (len(shapes),) True at the shapes failing the check
     incoherent: dict[int, float]  # shapes failing the check, their fsum totals
 
 
 def _growth_powers(n: int, q0: float) -> tuple[np.ndarray, np.ndarray]:
-    """q0 ** k for k <= n + 2, the highest power the weights of shapes of
-    fewer than n boxes read, and the (n + 3, n + 3) quotients
-    quot[x, y] = drops[x] / drops[y] of their drops[k] = 1 - q0 ** k, as
-    -expm1(k ln q0) and 1 at k = 0.  1.0 - q0 ** k would cancel near
-    q0 = 1.  The table holds (n + 3)^2 floats: 0.33 MB at n = 200, 8 MB
-    at n = 1000, 800 MB at n = 10^4."""
+    """q0 ** k for k <= n + 2 and the (K, K) quotients
+    quot[x, d] = drops[x] / drops[x + d] that `_growth_weights` reads for
+    shapes with a_0 + l <= n (every shape of fewer than n boxes): drops[k]
+    = 1 - q0 ** k, as -expm1(k ln q0) and 1 at k = 0 (1.0 - q0 ** k would
+    cancel near q0 = 1), for k below K - 1, and 1.0 from K - 1 on.  K - 1
+    is the least k from which every drop up to n is 1.0, at most n + 1:
+    K = 55 at q0 = 1/2 and 3,726 at q0 = 0.99."""
     log_q = math.log(q0)
-    drops = np.array([-math.expm1(k * log_q) for k in range(n + 3)])
-    drops[0] = 1.0
-    return np.array([q0**k for k in range(n + 3)]), drops[:, None] / drops
+    drops = [1.0, *(-math.expm1(k * log_q) for k in range(1, n + 1))]
+    side = next((k for k in range(n, 0, -1) if drops[k] != 1.0), 0) + 2
+    padded = np.ones(2 * side - 1)
+    padded[: side - 1] = drops[: side - 1]
+    quot = padded[:side, None] / np.lib.stride_tricks.sliding_window_view(padded, side)
+    return np.array([q0**k for k in range(n + 3)]), quot
 
 
 @cache
@@ -641,11 +644,8 @@ def _growth_table(n: int, q0: float) -> _GrowthTable:
     succ = np.zeros(tops.shape, dtype=np.intp)
     for s, lam in enumerate(small):
         succ[s, : count[s]] = [index[big] for big in covers_of(lam)]
-    incoherent = _incoherent(w, cum[-1])
-    failing = np.zeros(len(shapes), dtype=bool)
-    failing[list(incoherent)] = True
-    table = _GrowthTable(shapes, cum, count - 1, succ, failing, incoherent)
-    for a in table[1:5]:  # every chunk at (n, q0) reads the same arrays
+    table = _GrowthTable(shapes, cum, count - 1, succ, _incoherent(w, cum[-1]))
+    for a in table[1:4]:  # every chunk at (n, q0) reads the same arrays
         a.flags.writeable = False
     return table
 
@@ -657,7 +657,7 @@ def _walk_growth_table(us: np.ndarray, q0: float) -> list[Partition]:
     table = _growth_table(us.shape[1], q0)
     state = np.zeros(len(us), dtype=np.intp)
     for u in us.T:
-        if table.incoherent and (hit := np.flatnonzero(table.failing[state])).size:
+        if table.incoherent and (hit := np.flatnonzero(np.isin(state, [*table.incoherent]))).size:
             s = int(state[hit[0]])
             raise _coherency_error(table.shapes[s], table.incoherent[s], q0)
         pick = _cover_index(np.take(table.cum, state, axis=1), u, table.last[state])
@@ -693,11 +693,14 @@ def sample_growth_chunk(
     us = rng.random((m, n))
     if 0 < n <= GROWTH_TABLE_MAX_N:
         return _walk_growth_table(us, q0)
-    powers, quot = _growth_powers(n, q0)
     rows = np.zeros((n + 1, m), dtype=np.intp)  # one column a chain
     chains = np.arange(m)
     width = 1  # the longest shape's rows, then one all-zero row
+    bound = 0  # the chains' a_0 + l that powers and quot serve
     for u in us.T:
+        if (reach := min(int(rows[0].max()) + width, n)) > bound:
+            bound = min(2 * reach, n)
+            powers, quot = _growth_powers(bound, q0)
         tops, count, w = _growth_weights(rows[:width].T, powers, quot)
         cum = np.cumsum(w.T, axis=0)
         for s, total in _incoherent(w, cum[-1]).items():

@@ -583,6 +583,8 @@ class TestGrowthSampler:
                 ),
                 # up to 32 covers and size 496: the largest exponents
                 st.integers(1, 31).map(lambda k: tuple(range(k, 0, -1))),
+                # blocks wider and taller than the quotient table
+                st.tuples(st.integers(1, 60), st.integers(1, 60)).map(lambda ab: ab[:1] * ab[1]),
             ),
             min_size=1,
             max_size=8,
