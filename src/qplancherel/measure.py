@@ -22,14 +22,16 @@ gets min(n // (r + 1), N_r) slots, N_r its letters of rank >= r among
 its distinct letters.  The growth sampler advances all chains of a
 chunk together, one box per step: the cover factors of a run of blocks
 of equal parts are one gather from a table of the quotients
-(1 - q^x) / (1 - q^y), multiplied into the weights in block order by one
-product.  For n <= 14 it weighs every shape of fewer than n boxes once
-per (n, q), into one cached transition table, and each chain walks the
-table as an index: a step gathers the chains' running sums, bisects its
-uniforms in them and moves each chain to its cover's index.  Larger n
-weighs every chain's shape afresh at each step.  Its draws are those of
-one chain at a time, since every weight, running sum and comparison is
-the same IEEE operation on the same floats in the same order.
+(1 - q^x) / (1 - q^(x + d)), which ends where every 1 - q^k rounds to
+1.0 and where the chunk's hooks end, multiplied into the weights in
+block order by one product.  For n <= 14 it weighs every shape of fewer
+than n boxes once per (n, q), into one cached transition table, and each
+chain walks the table as an index: a step gathers the chains' running
+sums, bisects its uniforms in them and moves each chain to its cover's
+index.  Larger n weighs every chain's shape afresh at each step.  Its
+draws are those of one chain at a time, since every weight, running sum
+and comparison is the same IEEE operation on the same floats in the
+same order.
 Each sampler draws a single chunk of shapes from that chunk's own
 generator stream; `montecarlo.sample_partitions` is the one driver that
 fans the chunks out and merges them.  RSK and growth draw at q < 1 only,
@@ -89,10 +91,11 @@ RSK_TABLE_SLOTS = 1 << 18
 # equal parts, C covers, m shapes.  B is the most blocks that fit, or one
 # (a 1024-shape step at n = 1000 holds 11k-40k entries a block).  ms per
 # shape at 2^12 / 2^14 / 2^16 entries, medians of three fresh processes
-# (2-vCPU VM): 0.22 / 0.21 / 0.28 for 200 shapes at n = 200, q = 1/2;
-# 1.42 / 1.20 / 1.44 at q = 1/2 and 7.0 / 6.0 / 7.4 at q = 0.99 for a
-# 1024-shape chunk at n = 1000.  Larger arrays fall out of the cache;
-# smaller ones pay each call's fixed numpy cost over more runs of blocks.
+# (2-vCPU VM): 0.18 / 0.23 / 0.17 for 200 shapes at n = 200, q = 1/2;
+# 0.82 / 0.85 / 0.79 at q = 1/2 and 5.1 / 4.9 / 4.8 at q = 0.99 for a
+# 1024-shape chunk at n = 1000: level within the runs' spread, so the
+# size stays.  Smaller arrays pay each call's fixed numpy cost over more
+# runs of blocks.
 GROWTH_FACTOR_SLOTS = 1 << 14
 # Largest n whose growth chunks walk one cached transition table per
 # (n, q) (`_growth_table`): the table weighs every shape of fewer than n
